@@ -7,7 +7,7 @@ set to zero; see `configure` to switch to the raw category.
 """
 
 from .canon import coordinates, enumerate_basis, ess_equal, f_apply, f_inverse, phi_chain
-from .cheb import cheb_j, cheb_l, decat_check, poly_str
+from .cheb import cheb_j, cheb_l, poly_str
 from .config import MODE_QUOTIENT, MODE_RAW, configure, get_config, set_config
 from .diagram import (
     AnnularDiagram,
@@ -74,7 +74,6 @@ __all__ = [
     "configure",
     "coordinates",
     "crossing",
-    "decat_check",
     "enumerate_basis",
     "ess_equal",
     "ess_generator",

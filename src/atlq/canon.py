@@ -143,10 +143,12 @@ def phi_chain(*factors: Morphism):
     """The weight map of a composite, evaluated factor by factor.
 
     phi(X_1 . X_2 . ... . X_k) computed as the matrix product of the
-    individual weight maps.  This avoids expanding the diagrammatic
-    product, whose term count is quadratic per composition; the functor
-    identity it relies on is verified separately (randomized and on the
-    projector products themselves at small sizes).
+    individual weight maps, without expanding the diagrammatic product.
+    This is the rule for every identity that holds in the quotient: phi
+    is faithful there, so the weight maps of the identity's leaves,
+    multiplied, decide it.  Functoriality itself is checked separately,
+    on seeded random words and against the expanded diagram constructors
+    at small sizes.
     """
     if not factors:
         raise ValueError("need at least one factor")

@@ -119,20 +119,3 @@ def j_from_l_identity(m: int) -> bool:
     """J_m = L_m + J_{m-2} for m >= 2."""
     return cheb_j(m) == poly_add(cheb_l(m), cheb_j(m - 2))
 
-
-def decat_check(m: int, n: int) -> bool:
-    """Weight ranks mirror the first-kind product rule, 4 = 2 + 2.
-
-    The product T_m (x) T_n splits as T_{m+n} plus a rank-2 complement,
-    which is the categorified L_m L_n = L_{m+n} + L_{|m-n|}; on ranks
-    each L contributes its two extremal weight lines.
-    """
-    from .projectors import phi_extremal, phi_split, phi_weight_tensor
-
-    if m < 1 or n < 1:
-        raise ValueError("both factors need at least one strand")
-    return (
-        phi_weight_tensor(m, n).rank() == 4
-        and phi_extremal(m + n).rank() == 2
-        and phi_split(m, n).rank() == 2
-    )

@@ -24,6 +24,10 @@ render INPUT [--format svg|tikz|ascii] [--output FILE]
 
 Global flags --mode {raw,quotient} and --max-strands N take precedence
 over the ATL_MODE / ATL_MAX_STRANDS environment variables.
+
+Bad input (an unknown or out-of-range operand, mismatched shapes, a
+projector size outside its range or over --max-strands) is reported on
+one "error: ..." line with exit status 2.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .canon import coordinates, enumerate_basis, ess_equal, labels_from_matching
 from .config import get_config, set_config
@@ -42,11 +47,12 @@ from .render import render_ascii, render_svg, render_tikz
 from .rep import phi
 from .verify import SUITES, run_suite
 
+# constructor and smallest strand count
 PROJECTOR_KINDS = {
-    "extremal": extremal,
-    "jw": jones_wenzl,
-    "highest": highest_weight,
-    "lowest": lowest_weight,
+    "extremal": (extremal, 0),
+    "jw": (jones_wenzl, 1),
+    "highest": (highest_weight, 1),
+    "lowest": (lowest_weight, 1),
 }
 
 _BUILTINS = {
@@ -65,17 +71,35 @@ _BUILTINS = {
 }
 
 
+def _usage_error(message: str) -> NoReturn:
+    """Report bad user input on one line and exit with status 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def load_operand(text: str) -> Morphism:
     """A builtin name like u_4_0, or a path to a morphism JSON file."""
     head, *rest = text.split("_")
     if head in _BUILTINS and rest:
         arity, fn = _BUILTINS[head]
         if len(rest) == arity and all(p.lstrip("-").isdigit() for p in rest):
-            return fn(*(int(p) for p in rest))
+            try:
+                return fn(*(int(p) for p in rest))
+            except ValueError as exc:  # out-of-range size or index
+                _usage_error(f"{text}: {exc}")
     path = Path(text)
     if not path.exists():
-        raise SystemExit(f"error: {text!r} is neither a builtin name nor a file")
-    return Morphism.from_json_obj(json.loads(path.read_text()))
+        _usage_error(f"{text!r} is neither a builtin name nor a file")
+    try:
+        x = Morphism.from_json_obj(json.loads(path.read_text()))
+    except (ValueError, KeyError, TypeError) as exc:
+        _usage_error(f"{text}: not a morphism JSON file ({type(exc).__name__}: {exc})")
+    limit = get_config().max_strands
+    if min(x.dom, x.cod) < 0 or max(x.dom, x.cod) > limit:
+        _usage_error(f"{text}: shape {x.dom}->{x.cod} is outside 0..{limit} strands")
+    if (x.dom + x.cod) % 2:
+        _usage_error(f"{text}: shape {x.dom}->{x.cod} has an odd number of endpoints")
+    return x
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -86,7 +110,11 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def cmd_projector(args) -> int:
-    proj = PROJECTOR_KINDS[args.kind](args.m)
+    build, least = PROJECTOR_KINDS[args.kind]
+    limit = get_config().max_strands
+    if not least <= args.m <= limit:
+        _usage_error(f"{args.kind} projectors need {least} <= M <= {limit}, got {args.m}")
+    proj = build(args.m)
     if args.out == "json":
         _emit(json.dumps(proj.to_json_obj(), indent=2), args.output)
     elif args.out == "matrix":
@@ -108,18 +136,25 @@ def cmd_verify(args) -> int:
 def cmd_eval(args) -> int:
     operands = args.operands
     if len(operands) < 2:
-        raise SystemExit("error: eval needs LHS [RHS] OP")
+        _usage_error("eval needs LHS [RHS] OP")
     op = operands[-1]
     sources = operands[:-1]
     binary = {"compose", "tensor", "eq"}
     unary = {"ptrace", "phi", "coords"}
     if op in binary and len(sources) != 2:
-        raise SystemExit(f"error: {op} takes two operands")
+        _usage_error(f"{op} takes two operands")
     if op in unary and len(sources) != 1:
-        raise SystemExit(f"error: {op} takes one operand")
+        _usage_error(f"{op} takes one operand")
     if op not in binary | unary:
-        raise SystemExit(f"error: unknown op {op!r}")
+        _usage_error(f"unknown op {op!r}")
     ms = [load_operand(s) for s in sources]
+    shapes = " and ".join(f"{x.dom}->{x.cod}" for x in ms)
+    if op == "compose" and ms[0].dom != ms[1].cod:
+        _usage_error(f"cannot compose {shapes}: the left domain must match the right codomain")
+    if op == "eq" and (ms[0].dom, ms[0].cod) != (ms[1].dom, ms[1].cod):
+        _usage_error(f"cannot compare {shapes}: the shapes differ")
+    if op == "ptrace" and min(ms[0].dom, ms[0].cod) < 1:
+        _usage_error(f"cannot close a strand of {shapes}")
     if op == "compose":
         _emit(json.dumps((ms[0] * ms[1]).to_json_obj(), indent=2), args.output)
     elif op == "tensor":

@@ -26,7 +26,8 @@ Canonical diagrams are additionally seam-minimal: no arc joins L_t-L_{t+1},
 R_t-R_{t+1}, or L_t-R_t.  The first two kinds can be isotoped off the seam
 (splicing their partner arcs on the opposite edge), and a same-level arc
 L_t-R_t closes into a circle that crosses the seam exactly once, i.e. an
-essential circle.  `canonicalize` performs these reductions.  An essential
+essential circle.  Composition performs these reductions, and
+`AnnularDiagram.validate` checks a diagram is canonical.  An essential
 circle separates the two boundary components, so diagrams with ess > 0
 cannot have through strands.
 
@@ -288,37 +289,6 @@ def _partner_to_arcs(partner: dict[Point, Point]) -> tuple[Arc, ...]:
             keyed.append((kp, kq, (p, q)))
     keyed.sort()
     return tuple(a for _, _, a in keyed)
-
-
-def canonicalize(dom: int, cod: int, seam: int, arcs, ess: int = 0):
-    """Reduce a raw cut-rectangle matching to canonical form.
-
-    Returns (diagram, inessential) where `inessential` counts circles
-    removed by the reduction; each stands for a factor of -2.  Essential
-    circles created by the reduction are added to the diagram's count.
-    """
-    probe = AnnularDiagram(dom, cod, seam, ess, _norm_arcs(arcs))
-    cycle = probe.boundary_cycle()
-    expected = set(cycle)
-    partner: dict[Point, Point] = {}
-    for p, q in probe.arcs:
-        if p not in expected or q not in expected:
-            raise ValueError(f"arc {p}-{q} out of range")
-        partner[p] = q
-        partner[q] = p
-    if set(partner) != expected:
-        raise ValueError("arcs are not a perfect matching on the boundary")
-    pos = {p: idx for idx, p in enumerate(cycle)}
-    stack: list[Point] = []
-    for p in cycle:
-        if stack and stack[-1] == partner[p]:
-            stack.pop()
-        elif pos[partner[p]] > pos[p]:
-            stack.append(p)
-        else:
-            raise ValueError(f"arcs cross near {p}")
-    k, iness, ess = _reduce_seam(partner, seam, ess)
-    return _intern(dom, cod, k, ess, _partner_to_arcs(partner)), iness
 
 
 # -- composition ----------------------------------------------------------

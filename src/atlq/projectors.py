@@ -22,17 +22,24 @@ small m directly.  The highest/lowest refinements T_m = H_m + L_m split
 off the all-plus and all-minus projectors separately; they need the
 rotation's fourth root of unity, so their coefficients live in Q(i)
 proper.
+
+The constructions of the product formula (T_m (x) T_n, its complement
+e_{m,n} and the isomorphisms splitting e_{m,n}) are each written once,
+over an evaluator that supplies the leaves: expanded diagrams for the
+public constructors, leaf weight maps (WEIGHTS) for the structural
+checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .config import MODE_QUOTIENT, configure
-from .diagram import Morphism, crossing, gen_cap, gen_cup, gen_d, gen_id, gen_u
+from .diagram import Morphism, _guard, crossing, gen_cap, gen_cup, gen_d, gen_id, gen_u
 from .planar import iota, iota_prime, nested_caps, nested_cups, partial_trace, tensor
+from .rep import WeightMap, phi
 from .scalar import GaussianRational, HALF, I, MINUS_I
 
 _HALF_I = GaussianRational(0, Fraction(1, 2))
@@ -45,7 +52,9 @@ class IsoPair:
 
     fwd maps the target idempotent's object into the source one's and bwd
     the other way around; the contracts are bwd . fwd == tgt_idem and
-    fwd . bwd == src_idem, both up to essential-circle equality.
+    fwd . bwd == src_idem, both up to essential-circle equality.  The
+    fields are Morphisms from the public constructors and WeightMaps from
+    the WEIGHTS evaluator.
     """
 
     fwd: Morphism
@@ -54,7 +63,30 @@ class IsoPair:
     tgt_idem: Morphism
 
 
-@lru_cache(maxsize=None)
+def _guarded_cache(strands):
+    """An unbounded lru_cache that checks the max_strands guard first.
+
+    The guard runs before the lookup, so a result built under a looser
+    limit is refused under a tighter one exactly as a fresh build would
+    be.  `strands` maps the arguments to the strand count to guard.
+    """
+
+    def wrap(fn):
+        cached = lru_cache(maxsize=None)(fn)
+
+        @wraps(fn)
+        def guarded(*args):
+            _guard(strands(*args))
+            return cached(*args)
+
+        guarded.cache_info = cached.cache_info
+        guarded.cache_clear = cached.cache_clear
+        return guarded
+
+    return wrap
+
+
+@_guarded_cache(lambda m: m)
 def jones_wenzl(m: int) -> Morphism:
     """The m-strand Jones-Wenzl projector (planar, kills all caps)."""
     if m < 1:
@@ -68,7 +100,7 @@ def jones_wenzl(m: int) -> Morphism:
         return lifted + correction.scale(Fraction(m - 1, m))
 
 
-@lru_cache(maxsize=None)
+@_guarded_cache(lambda m: m)
 def extremal(m: int) -> Morphism:
     """The extremal weight projector T_m; T_0 is twice the empty diagram."""
     if m < 0:
@@ -108,7 +140,7 @@ def extremal_by_recursion(m: int) -> Morphism:
         return prev * crossing(m, m - 1) * prev
 
 
-@lru_cache(maxsize=None)
+@_guarded_cache(lambda m: m)
 def highest_weight(m: int) -> Morphism:
     """Projection onto the all-plus weight string, inside T_m."""
     if m < 1:
@@ -121,7 +153,7 @@ def highest_weight(m: int) -> Morphism:
         return iota(highest_weight(m - 1)) * _shifted_weight(m - 2, True)
 
 
-@lru_cache(maxsize=None)
+@_guarded_cache(lambda m: m)
 def lowest_weight(m: int) -> Morphism:
     """Projection onto the all-minus weight string, inside T_m."""
     if m < 1:
@@ -153,25 +185,137 @@ def _shifted_weight(k: int, high: bool) -> Morphism:
         return base
 
 
-@lru_cache(maxsize=None)
-def _tensor_factors(m: int, n: int) -> tuple[Morphism, Morphism]:
-    """(T_m (x) id_n, id_m (x) T_n); their product is T_m (x) T_n."""
+# -- one formula, two evaluators ---------------------------------------------
+
+
+class _Evaluator:
+    """The product-formula constructions over leaves a subclass supplies.
+
+    A subclass defines `leaf(x)` (a small generator morphism x as this
+    evaluator represents it), `extremal(k)` (the projector T_k) and
+    `tensor(x, y)`.  Sums, products and scalings are those of the leaf
+    type, Morphism or WeightMap alike.
+    """
+
+    def factors(self, m: int, n: int):
+        """(T_m (x) id_n, id_m (x) T_n); their product is T_m (x) T_n."""
+        return (
+            self.tensor(self.extremal(m), self.leaf(gen_id(n))),
+            self.tensor(self.leaf(gen_id(m)), self.extremal(n)),
+        )
+
+    def weight_tensor(self, m: int, n: int):
+        a, b = self.factors(m, n)
+        return a * b
+
+    def split(self, m: int, n: int):
+        if m < 1 or n < 1:
+            raise ValueError("both factors need at least one strand")
+        if (m, n) == (1, 1):
+            u = self.leaf(gen_u(2, 1)) + self.leaf(gen_u(2, 0))
+            return u.scale(Fraction(-1, 2))
+        a, b = self.factors(m, n)
+        inner = b * self.leaf(gen_u(m + n, m)) * a
+        return (a * inner * b).scale(-1)
+
+    def split_nested(self, m: int, n: int, r: int):
+        if not (1 <= r <= min(m, n) and r < max(m, n)):
+            raise ValueError("turnback depth out of range")
+        a, b = self.factors(m, n)
+        turn = self.leaf(nested_cups(r)) * self.leaf(nested_caps(r))
+        mid = self.tensor(self.tensor(self._block(m - r), turn), self._block(n - r))
+        return (a * (b * mid * a) * b).scale((-1) ** r)
+
+    def _block(self, k: int):
+        """T_k as a tensor factor; the empty factor is the empty diagram alone."""
+        return self.leaf(gen_id(0)) if k == 0 else self.extremal(k)
+
+    def iso_diff(self, m: int, n: int) -> IsoPair:
+        if m == n or m < 1 or n < 1:
+            raise ValueError("need distinct strand counts, both positive")
+        lo, diff = min(m, n), abs(m - n)
+        w = self.weight_tensor(m, n)
+        t = self.extremal(diff)
+        cups, caps = self.leaf(nested_cups(lo)), self.leaf(nested_caps(lo))
+        if m > n:
+            into, outof = self.tensor(t, cups), self.tensor(t, caps)
+        else:
+            into, outof = self.tensor(cups, t), self.tensor(caps, t)
+        return IsoPair(w * into, (outof * w).scale((-1) ** lo), self.split(m, n), t)
+
+    def iso_equal(self, m: int) -> tuple[IsoPair, IsoPair]:
+        if m < 1:
+            raise ValueError("need m >= 1")
+        w = self.weight_tensor(m, m)
+        sign = (-1) ** m
+        f1 = (w * self.leaf(nested_cups(m))).scale(sign)
+        g1 = (self.leaf(nested_caps(m)) * w).scale(HALF)
+        bent = self.tensor(self.leaf(nested_cups(1)), self.leaf(nested_cups(m - 1)))
+        unbent = self.tensor(self.leaf(nested_caps(1)), self.leaf(nested_caps(m - 1)))
+        f2 = (w * self.leaf(gen_d(2 * m, 1)) * bent).scale(sign)
+        g2 = (unbent * self.leaf(gen_d(2 * m, -1)) * w).scale(HALF)
+        empty = self.leaf(gen_id(0))
+        return IsoPair(f1, g1, f1 * g1, empty), IsoPair(f2, g2, f2 * g2, empty)
+
+    def kariso_contract(self, m: int, n: int):
+        if not m >= n >= 1:
+            raise ValueError("need m >= n >= 1")
+        w = self.weight_tensor(m, n)
+        pad = self.leaf(gen_id(m - n))
+        caps = self.tensor(pad, self.leaf(nested_caps(n)))
+        cups = self.tensor(pad, self.leaf(nested_cups(n)))
+        return (caps * w * cups).scale((-1) ** n)
+
+
+class _Diagrams(_Evaluator):
+    """Leaves are diagrams, and every product is expanded.
+
+    Call it under quotient mode, as the public constructors do.
+    """
+
+    def leaf(self, x: Morphism) -> Morphism:
+        return x
+
+    def extremal(self, k: int) -> Morphism:
+        return extremal(k)
+
+    def tensor(self, x: Morphism, y: Morphism) -> Morphism:
+        return tensor(x, y)
+
+    factors = lru_cache(maxsize=None)(_Evaluator.factors)
+    weight_tensor = lru_cache(maxsize=None)(_Evaluator.weight_tensor)
+
+
+class _Weights(_Evaluator):
+    """Leaves are weight maps: phi_extremal(k) for T_k, phi of a generator."""
+
+    def leaf(self, x: Morphism) -> WeightMap:
+        return phi(x)
+
+    def extremal(self, k: int) -> WeightMap:
+        return phi_extremal(k)
+
+    def tensor(self, x: WeightMap, y: WeightMap) -> WeightMap:
+        return x.tensor(y)
+
+    weight_tensor = lru_cache(maxsize=None)(_Evaluator.weight_tensor)
+    split = lru_cache(maxsize=None)(_Evaluator.split)
+
+
+_DIAGRAMS = _Diagrams()
+WEIGHTS = _Weights()
+
+
+def _on_diagrams(strands: int, build, *args) -> Morphism:
+    """Run a construction on diagrams in quotient mode, guard checked first."""
+    _guard(strands)
     with configure(mode=MODE_QUOTIENT):
-        a = extremal(m)
-        for _ in range(n):
-            a = iota(a)
-        b = extremal(n)
-        for _ in range(m):
-            b = iota_prime(b)
-        return a, b
+        return build(*args)
 
 
-@lru_cache(maxsize=None)
 def weight_tensor(m: int, n: int) -> Morphism:
     """T_m (x) T_n, cached; the ambient projector of the product formula."""
-    a, b = _tensor_factors(m, n)
-    with configure(mode=MODE_QUOTIENT):
-        return a * b
+    return _on_diagrams(m + n, _DIAGRAMS.weight_tensor, m, n)
 
 
 def split_idempotent(m: int, n: int) -> Morphism:
@@ -181,32 +325,12 @@ def split_idempotent(m: int, n: int) -> Morphism:
     tensor factors so no intermediate product pairs two full copies of
     the big projector at once.
     """
-    if m < 1 or n < 1:
-        raise ValueError("both factors need at least one strand")
-    with configure(mode=MODE_QUOTIENT):
-        if (m, n) == (1, 1):
-            return gen_u(2, 1).scale(Fraction(-1, 2)) + gen_u(2, 0).scale(Fraction(-1, 2))
-        a, b = _tensor_factors(m, n)
-        inner = b * gen_u(m + n, m) * a
-        return -(a * inner * b)
-
-
-def _maybe_extremal(k: int) -> Morphism:
-    """T_k as a tensor factor; the empty factor is the empty diagram alone."""
-    return gen_id(0) if k == 0 else extremal(k)
+    return _on_diagrams(m + n, _DIAGRAMS.split, m, n)
 
 
 def split_idempotent_nested(m: int, n: int, r: int) -> Morphism:
     """e_{m,n} written with a depth-r cup/cap turnback between the factors."""
-    if not (1 <= r <= min(m, n) and r < max(m, n)):
-        raise ValueError("turnback depth out of range")
-    with configure(mode=MODE_QUOTIENT):
-        a, b = _tensor_factors(m, n)
-        mid = tensor(
-            tensor(_maybe_extremal(m - r), nested_cups(r) * nested_caps(r)),
-            _maybe_extremal(n - r),
-        )
-        return (a * (b * mid * a) * b).scale((-1) ** r)
+    return _on_diagrams(m + n, _DIAGRAMS.split_nested, m, n, r)
 
 
 def iso_diff(m: int, n: int) -> IsoPair:
@@ -216,20 +340,7 @@ def iso_diff(m: int, n: int) -> IsoPair:
     on the min(m,n) matched strands; bwd is the capped mirror with the
     sign (-1)^min(m,n).
     """
-    if m == n or m < 1 or n < 1:
-        raise ValueError("need distinct strand counts, both positive")
-    lo, diff = min(m, n), abs(m - n)
-    with configure(mode=MODE_QUOTIENT):
-        w = weight_tensor(m, n)
-        if m > n:
-            into = tensor(extremal(diff), nested_cups(lo))
-            outof = tensor(extremal(diff), nested_caps(lo))
-        else:
-            into = tensor(nested_cups(lo), extremal(diff))
-            outof = tensor(nested_caps(lo), extremal(diff))
-        fwd = w * into
-        bwd = (outof * w).scale((-1) ** lo)
-        return IsoPair(fwd, bwd, split_idempotent(m, n), extremal(diff))
+    return _on_diagrams(m + n, _DIAGRAMS.iso_diff, m, n)
 
 
 def iso_equal(m: int) -> tuple[IsoPair, IsoPair]:
@@ -240,22 +351,7 @@ def iso_equal(m: int) -> tuple[IsoPair, IsoPair]:
     the verification suite, together with the cross contracts
     g_i f_j = 0 for i != j).
     """
-    if m < 1:
-        raise ValueError("need m >= 1")
-    with configure(mode=MODE_QUOTIENT):
-        w = weight_tensor(m, m)
-        sign = (-1) ** m
-        f1 = (w * nested_cups(m)).scale(sign)
-        g1 = (nested_caps(m) * w).scale(HALF)
-        bent = tensor(nested_cups(1), nested_cups(m - 1))
-        unbent = tensor(nested_caps(1), nested_caps(m - 1))
-        f2 = (w * gen_d(2 * m, 1) * bent).scale(sign)
-        g2 = (unbent * gen_d(2 * m, -1) * w).scale(HALF)
-        empty = gen_id(0)
-        return (
-            IsoPair(f1, g1, f1 * g1, empty),
-            IsoPair(f2, g2, f2 * g2, empty),
-        )
+    return _on_diagrams(2 * m, _DIAGRAMS.iso_equal, m)
 
 
 def kariso_contract(m: int, n: int) -> Morphism:
@@ -263,68 +359,10 @@ def kariso_contract(m: int, n: int) -> Morphism:
 
     Equals T_{m-n}, with the convention T_0 = 2 id_0 at m = n.
     """
-    if not m >= n >= 1:
-        raise ValueError("need m >= n >= 1")
-    with configure(mode=MODE_QUOTIENT):
-        w = weight_tensor(m, n)
-        caps = tensor(gen_id(m - n), nested_caps(n))
-        cups = tensor(gen_id(m - n), nested_cups(n))
-        return (caps * w * cups).scale((-1) ** n)
+    return _on_diagrams(m + n, _DIAGRAMS.kariso_contract, m, n)
 
 
-# -- structural checks -------------------------------------------------------
-#
-# Identity checks here hold in the essential-circle quotient, so they are
-# decided through the weight functor.  Products whose diagrammatic
-# expansion would pair too many terms are evaluated in matrix land
-# instead: phi of each factor, then matrix products for composition and
-# Kronecker products for tensors.  Functoriality and monoidality of the
-# functor carry their own randomized and small-size checks, so the two
-# evaluation routes are interchangeable wherever both are feasible.
-
-_CHAIN_LIMIT = 120_000
-_EXPAND_LIMIT = 6
-
-
-@lru_cache(maxsize=None)
-def phi_extremal(m: int):
-    """The weight map of T_m.
-
-    Up to six strands the projector is expanded and evaluated term by
-    term.  Beyond that the expansion outgrows any sane budget (about six
-    thousand terms at m = 7, five times that at m = 8), so the map is
-    assembled from the ascending product instead:
-
-        phi(T_m) = (phi(T_{m-1}) (x) id) . phi(id_{m-2} (x) T_2).
-    """
-    from .rep import WeightMap, phi
-
-    if m <= _EXPAND_LIMIT:
-        return phi(extremal(m))
-    lifted = phi_extremal(m - 1).tensor(WeightMap.identity(1))
-    return lifted * phi(_shifted_t2(m - 2))
-
-
-@lru_cache(maxsize=None)
-def phi_weight_tensor(m: int, n: int):
-    """The weight map of T_m (x) T_n."""
-    return phi_extremal(m).tensor(phi_extremal(n))
-
-
-@lru_cache(maxsize=None)
-def phi_split(m: int, n: int):
-    """The weight map of e_{m,n}, assembled without expanding the product."""
-    from .rep import phi
-
-    if (m, n) == (1, 1):
-        return phi(split_idempotent(1, 1))
-    pw = phi_weight_tensor(m, n)
-    with configure(mode=MODE_QUOTIENT):
-        pu = phi(gen_u(m + n, m))
-    return (pw * pu * pw).scale(GaussianRational(-1))
-
-
-@lru_cache(maxsize=None)
+@_guarded_cache(lambda m, n: m)
 def embedded_extremal(m: int, n: int) -> Morphism:
     """iota^(m-n)(T_n), the lower projector on the first n of m strands."""
     if not 1 <= n <= m:
@@ -336,14 +374,63 @@ def embedded_extremal(m: int, n: int) -> Morphism:
         return x
 
 
-def _phi_product(x: Morphism, y: Morphism):
-    from .canon import phi_chain
-    from .rep import phi
+# -- structural checks -------------------------------------------------------
+#
+# One rule decides every identity.  Identities claimed on the nose
+# (presentation, Reidemeister, well-definedness, Jones-Wenzl, partial
+# trace) compare expanded diagrams.  Identities of the extremal projectors
+# hold only in the essential-circle quotient, where phi is faithful, so
+# they compare weight maps built from the identity's named leaves:
+# phi_extremal(k) for each projector and phi of each small generator,
+# combined by matrix products and Kronecker products (phi is a strict
+# monoidal functor).  The composite diagram is never expanded, so no
+# check depends on how many terms its product would pair.
+#
+# The one size threshold left is _EXPAND_LIMIT in phi_extremal.  It does
+# not choose a route for a check; it says which T_m are built as
+# diagrams at all.  Up to six strands phi(T_m) is taken from the diagram
+# itself, which pins every T_3..T_6 diagram to extremal_matrix; beyond
+# that the expansion outgrows any sane budget.
 
-    if len(x.terms) * len(y.terms) <= _CHAIN_LIMIT:
-        with configure(mode=MODE_QUOTIENT):
-            return phi(x * y)
-    return phi_chain(x, y)
+_EXPAND_LIMIT = 6
+
+
+@_guarded_cache(lambda m: m)
+def phi_extremal(m: int) -> WeightMap:
+    """The weight map of T_m.
+
+    Up to six strands the projector is expanded and evaluated term by
+    term.  Beyond that the expansion outgrows any sane budget (about six
+    thousand terms at m = 7, five times that at m = 8), so the map is
+    assembled from the ascending product of leaf weight maps instead:
+
+        phi(T_m) = (phi(T_{m-1}) (x) id_1) . (id_{m-2} (x) phi(T_2)).
+    """
+    if m <= _EXPAND_LIMIT:
+        return phi(extremal(m))
+    lifted = phi_extremal(m - 1).tensor(WeightMap.identity(1))
+    return lifted * WeightMap.identity(m - 2).tensor(phi_extremal(2))
+
+
+def phi_weight_tensor(m: int, n: int) -> WeightMap:
+    """The weight map of T_m (x) T_n."""
+    return WEIGHTS.weight_tensor(m, n)
+
+
+def phi_split(m: int, n: int) -> WeightMap:
+    """The weight map of e_{m,n}."""
+    return WEIGHTS.split(m, n)
+
+
+def iso_diff_maps(m: int, n: int) -> tuple[WeightMap, WeightMap]:
+    """The weight maps (fwd, bwd) of the iso_diff pair.
+
+    Same contracts as iso_diff (bwd fwd gives T_{|m-n|}, fwd bwd gives
+    e_{m,n}), evaluated on the leaf weight maps, so no size is out of
+    reach.
+    """
+    pair = WEIGHTS.iso_diff(m, n)
+    return pair.fwd, pair.bwd
 
 
 def verify_properties(m: int) -> list[str]:
@@ -353,29 +440,25 @@ def verify_properties(m: int) -> list[str]:
     absorption of embedded lower projectors, and rotation invariance,
     all as equalities in the quotient.
     """
-    from .rep import phi
-
     if m < 2:
         raise ValueError("the properties concern m >= 2")
     failures: list[str] = []
-    with configure(mode=MODE_QUOTIENT):
-        t = extremal(m)
-        pt = phi_extremal(m)
-        if _phi_product(t, t) != pt:
-            failures.append("idempotency")
-        for i in range(m):
-            s = crossing(m, i)
-            if phi(t * s) != pt or phi(s * t) != pt:
-                failures.append(f"crossing absorption at {i}")
-            u = gen_u(m, i)
-            if phi(t * u).entries or phi(u * t).entries:
-                failures.append(f"cap-cup annihilation at {i}")
-        for n in range(1, m):
-            pad = embedded_extremal(m, n)
-            if _phi_product(t, pad) != pt or _phi_product(pad, t) != pt:
-                failures.append(f"absorption of T_{n}")
-        if phi(gen_d(m, -1) * t * gen_d(m, 1)) != pt:
-            failures.append("rotation invariance")
+    pt = phi_extremal(m)
+    if pt * pt != pt:
+        failures.append("idempotency")
+    for i in range(m):
+        s = phi(crossing(m, i))
+        if pt * s != pt or s * pt != pt:
+            failures.append(f"crossing absorption at {i}")
+        u = phi(gen_u(m, i))
+        if not (pt * u).is_zero() or not (u * pt).is_zero():
+            failures.append(f"cap-cup annihilation at {i}")
+    for n in range(1, m):
+        pad = phi_extremal(n).tensor(WeightMap.identity(m - n))
+        if pt * pad != pt or pad * pt != pt:
+            failures.append(f"absorption of T_{n}")
+    if phi(gen_d(m, -1)) * pt * phi(gen_d(m, 1)) != pt:
+        failures.append("rotation invariance")
     return failures
 
 
@@ -383,105 +466,29 @@ def linked_check(m: int, n: int) -> bool:
     """(T_m (x) T_n) s_m (T_m (x) T_n) equals T_{m+n} in the quotient."""
     if m + n < 3 or m < 1 or n < 1:
         raise ValueError("need m + n >= 3")
-    from .canon import phi_chain
-    from .rep import phi
-
-    with configure(mode=MODE_QUOTIENT):
-        s = crossing(m + n, m)
-        a, b = _tensor_factors(m, n)
-        if len(a.terms) * len(b.terms) <= _CHAIN_LIMIT:
-            lhs = phi_chain(weight_tensor(m, n), s, weight_tensor(m, n))
-        else:
-            pw = phi_weight_tensor(m, n)
-            lhs = pw * phi(s) * pw
-        return lhs == phi_extremal(m + n)
+    pw = phi_weight_tensor(m, n)
+    return pw * phi(crossing(m + n, m)) * pw == phi_extremal(m + n)
 
 
 def overlap_check(m: int, n: int, r: int) -> bool:
-    """Overlapping projectors combine: all four product orders give T_{m+r}.
-
-    Small cells expand the shifted projectors as diagrams; larger ones
-    build their weight maps directly as Kronecker products with the
-    identity, which is what tensoring with id does under the functor.
-    """
-    from .rep import WeightMap
-
+    """Overlapping projectors combine: all four product orders give T_{m+r}."""
     if not (1 <= n <= m and 0 <= r < n):
         raise ValueError("need 1 <= n <= m and 0 <= r < n")
-    with configure(mode=MODE_QUOTIENT):
-        target = phi_extremal(m + r)
-        if m + r <= 4:
-            left = tensor(extremal(m), gen_id(r))
-            right = tensor(gen_id(m - n + r), extremal(n))
-            if _phi_product(left, right) != target or _phi_product(right, left) != target:
-                return False
-            left = tensor(gen_id(r), extremal(m))
-            right = tensor(extremal(n), gen_id(m - n + r))
-            return _phi_product(left, right) == target and _phi_product(right, left) == target
-    pl = phi_extremal(m).tensor(WeightMap.identity(r))
-    pr = WeightMap.identity(m - n + r).tensor(phi_extremal(n))
-    if pl * pr != target or pr * pl != target:
-        return False
-    pl = WeightMap.identity(r).tensor(phi_extremal(m))
-    pr = phi_extremal(n).tensor(WeightMap.identity(m - n + r))
-    return pl * pr == target and pr * pl == target
+    target = phi_extremal(m + r)
+    big, small = phi_extremal(m), phi_extremal(n)
+    ident_r, ident_rest = WeightMap.identity(r), WeightMap.identity(m - n + r)
+    for left, right in (
+        (big.tensor(ident_r), ident_rest.tensor(small)),
+        (ident_r.tensor(big), small.tensor(ident_rest)),
+    ):
+        if left * right != target or right * left != target:
+            return False
+    return True
 
 
 def nested_form_check(m: int, n: int, r: int) -> bool:
-    """The depth-r turnback form of e_{m,n} agrees with the U_m form.
-
-    Beyond the expansion budget the middle factor's weight map is a
-    Kronecker product of its three blocks, so the whole comparison runs
-    on matrices.
-    """
-    from .rep import phi
-
-    if not (1 <= r <= min(m, n) and r < max(m, n)):
-        raise ValueError("turnback depth out of range")
-    with configure(mode=MODE_QUOTIENT):
-        a, b = _tensor_factors(m, n)
-        if len(a.terms) * len(b.terms) * 4 <= _CHAIN_LIMIT:
-            lhs = phi(split_idempotent_nested(m, n, r))
-        else:
-            pmid = (
-                _phi_block(m - r)
-                .tensor(phi(nested_cups(r) * nested_caps(r)))
-                .tensor(_phi_block(n - r))
-            )
-            pw = phi_weight_tensor(m, n)
-            lhs = (pw * pmid * pw).scale(GaussianRational((-1) ** r))
-        return lhs == phi_split(m, n)
-
-
-def _phi_block(k: int):
-    from .rep import WeightMap
-
-    return WeightMap.identity(0) if k == 0 else phi_extremal(k)
-
-
-def iso_diff_maps(m: int, n: int):
-    """The weight maps of the iso_diff pair, assembled factor by factor.
-
-    Same contracts as iso_diff (bwd fwd gives T_{|m-n|}, fwd bwd gives
-    e_{m,n}), for sizes where expanding the big tensor projector is out
-    of the question.
-    """
-    from .rep import phi
-
-    if m == n or m < 1 or n < 1:
-        raise ValueError("need distinct strand counts, both positive")
-    lo, diff = min(m, n), abs(m - n)
-    pw = phi_weight_tensor(m, n)
-    with configure(mode=MODE_QUOTIENT):
-        if m > n:
-            into = tensor(extremal(diff), nested_cups(lo))
-            outof = tensor(extremal(diff), nested_caps(lo))
-        else:
-            into = tensor(nested_cups(lo), extremal(diff))
-            outof = tensor(nested_caps(lo), extremal(diff))
-        pf = pw * phi(into)
-        pg = (phi(outof) * pw).scale(GaussianRational((-1) ** lo))
-    return pf, pg
+    """The depth-r turnback form of e_{m,n} agrees with the U_m form."""
+    return WEIGHTS.split_nested(m, n, r) == phi_split(m, n)
 
 
 def jw_pair(m: int) -> IsoPair:

@@ -86,7 +86,9 @@ class WeightMap:
             entries[k] = entries.get(k, ZERO) + v
         return WeightMap(self.dom, self.cod, entries)
 
-    def scale(self, c: GaussianRational) -> WeightMap:
+    def scale(self, c) -> WeightMap:
+        if not isinstance(c, GaussianRational):
+            c = GaussianRational(c)
         return WeightMap(self.dom, self.cod, {k: v * c for k, v in self.entries.items()})
 
     def __mul__(self, other: WeightMap) -> WeightMap:

@@ -119,7 +119,10 @@ class GaussianRational:
             mag, unit = m.group("mag"), m.group("unit")
             if mag is None and unit is None:
                 raise ValueError(f"bad scalar literal: {text!r}")
-            value = sign * (Fraction(mag) if mag is not None else 1)
+            try:
+                value = sign * (Fraction(mag) if mag is not None else 1)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in scalar literal: {text!r}") from None
             if unit:
                 if im_part is not None:
                     raise ValueError(f"bad scalar literal: {text!r}")
@@ -162,9 +165,6 @@ MINUS_TWO = GaussianRational(-2)
 I = GaussianRational(0, 1)
 MINUS_I = GaussianRational(0, -1)
 HALF = GaussianRational(Fraction(1, 2))
-
-# i**k for k mod 4; handy when accumulating winding phases.
-I_POWERS = (ONE, I, MINUS_ONE, MINUS_I)
 
 
 def from_rational(q: Fraction | int) -> GaussianRational:

@@ -1,15 +1,18 @@
 """Named identity suites, one PASS/FAIL line per identity.
 
 Each suite function returns a list of Check records; `run_suite` renders
-them and reports overall success.  The checks are exact throughout, but
-they run at two levels: planar identities (presentation, Reidemeister,
-Jones-Wenzl) hold on the nose as canonical coefficient dictionaries,
-while the wound projector identities hold in the essential-circle
-quotient and are decided through the weight functor.  Products too large
-to expand diagrammatically are evaluated in matrix land from their
-factors; functoriality and monoidality of the functor get their own
-randomized coverage in the test suite, so the routes agree wherever both
-are feasible.
+them and reports overall success.  The checks are exact throughout, and
+one rule says how each is decided.  Identities claimed on the nose
+(presentation, Reidemeister, seam-slide well-definedness, Jones-Wenzl,
+partial trace) compare canonical diagrams, coefficient by coefficient.
+Identities of the extremal projectors hold in the essential-circle
+quotient, where the weight functor is faithful, so they compare weight
+maps built from the identity's named leaves: phi_extremal(k) for each
+projector, phi of each small generator, joined by matrix and Kronecker
+products.  No composite diagram is expanded to decide them, so no check
+chooses its route by size.  Functoriality and monoidality of phi have
+their own randomized coverage in the test suite, and the tests match phi
+of each diagram constructor against its weight-map form.
 
 The braid-type relations (U_i U_{i+1} U_i = U_i and Reidemeister 3) are
 only stated for n >= 3 strands: modulo n, the neighbor indices i-1, i, i+1
@@ -20,7 +23,6 @@ circles and vanish in the quotient instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .canon import enumerate_basis, ess_equal
@@ -34,18 +36,15 @@ from .cheb import (
 )
 from .config import MODE_QUOTIENT, configure
 from .diagram import Morphism, crossing, gen_cap, gen_cup, gen_d, gen_id, gen_u
-from .planar import ess_generator, iota, nested_caps, nested_cups, partial_trace, tensor
+from .planar import ess_generator, iota, partial_trace
 from .projectors import (
-    _tensor_factors,
+    WEIGHTS,
     extremal,
     highest_weight,
-    iso_diff,
     iso_diff_maps,
-    iso_equal,
     jones_wenzl,
     jw_k0_check,
     jw_partial_trace_check,
-    kariso_contract,
     linked_check,
     lowest_weight,
     nested_form_check,
@@ -53,19 +52,10 @@ from .projectors import (
     phi_extremal,
     phi_split,
     phi_weight_tensor,
-    split_idempotent,
     verify_properties,
-    weight_tensor,
 )
 from .rep import WeightMap, extremal_matrix, phi
-from .scalar import ONE, GaussianRational
-
-# Cells whose split idempotent can be expanded honestly; above this the
-# folded product -(T (x) T) U (T (x) T) pairs too many terms and the cell
-# runs on weight maps assembled from the factors instead.
-_EXPAND_CELL = 5_000
-# Cells where the tensor projector itself is still affordable.
-_EXPAND_TENSOR = 130_000
+from .scalar import ONE
 
 
 @dataclass
@@ -281,12 +271,7 @@ def suite_product(limit: int | None = None) -> list[Check]:
     checks: list[Check] = []
     for m in range(1, limit + 1):
         for n in range(1, m + 1):
-            a, b = _tensor_factors(m, n)
-            cost = len(a.terms) * len(b.terms)
-            if cost <= _EXPAND_CELL:
-                _cell_expanded(checks, m, n)
-            else:
-                _cell_matrices(checks, m, n)
+            _cell(checks, m, n)
             if m + n >= 3:
                 _check(
                     checks,
@@ -304,7 +289,7 @@ def suite_product(limit: int | None = None) -> list[Check]:
             _check(
                 checks,
                 f"(m,n)=({m},{n}): capping off T_n inside T_m leaves T_(m-n)",
-                lambda m=m, n=n, cost=cost: _kariso_ok(m, n, cost),
+                lambda m=m, n=n: WEIGHTS.kariso_contract(m, n) == phi_extremal(m - n),
             )
             for r in range(n):
                 if m + r > 2 * limit:
@@ -330,57 +315,12 @@ def suite_product(limit: int | None = None) -> list[Check]:
     return checks
 
 
-def _cell_expanded(checks: list[Check], m: int, n: int) -> None:
-    """The honest route: expand the tensor projector and its complement."""
-
-    def parts():
-        with configure(mode=MODE_QUOTIENT):
-            return weight_tensor(m, n), split_idempotent(m, n), extremal(m + n)
-
+def _cell(checks: list[Check], m: int, n: int) -> None:
+    """T_m (x) T_n = T_(m+n) + e, and how e splits."""
     _check(
         checks,
         f"(m,n)=({m},{n}): T_m (x) T_n = T_(m+n) + e",
-        lambda: (lambda w, e, big: w == big + e or ess_equal(w, big + e))(*parts()),
-    )
-
-    def idem_orth():
-        _, e, _ = parts()
-        pe, big = phi(e), phi_extremal(m + n)
-        return (
-            pe == phi_split(m, n)
-            and pe * pe == pe
-            and (pe * big).is_zero()
-            and (big * pe).is_zero()
-        )
-
-    _check(
-        checks,
-        f"(m,n)=({m},{n}): e is idempotent and orthogonal to T_(m+n)",
-        idem_orth,
-    )
-    if m > n:
-        def split_ok():
-            pair = iso_diff(m, n)
-            return (
-                phi(pair.bwd * pair.fwd) == phi(pair.tgt_idem)
-                and phi(pair.fwd * pair.bwd) == phi(pair.src_idem)
-            )
-
-        _check(checks, f"(m,n)=({m},{n}): e splits off T_(m-n)", split_ok)
-    if m == n and m <= 3:
-        _check(
-            checks,
-            f"(m,n)=({m},{n}): e splits into two empty-diagram summands",
-            lambda: _iso_equal_ok(m),
-        )
-
-
-def _cell_matrices(checks: list[Check], m: int, n: int) -> None:
-    """The assembled route for cells too large to expand."""
-    _check(
-        checks,
-        f"(m,n)=({m},{n}): T_m (x) T_n = T_(m+n) + e",
-        lambda: phi_weight_tensor(m, n) == phi_extremal(m + n) + phi_split(m, n),
+        lambda: _decomposes(m, n),
     )
 
     def idem_orth():
@@ -393,11 +333,7 @@ def _cell_matrices(checks: list[Check], m: int, n: int) -> None:
         idem_orth,
     )
     if m > n:
-        def split_ok():
-            pf, pg = iso_diff_maps(m, n)
-            return pg * pf == phi_extremal(m - n) and pf * pg == phi_split(m, n)
-
-        _check(checks, f"(m,n)=({m},{n}): e splits off T_(m-n)", split_ok)
+        _check(checks, f"(m,n)=({m},{n}): e splits off T_(m-n)", lambda: _splits_off(m, n))
     if m == n and m <= 3:
         _check(
             checks,
@@ -406,29 +342,23 @@ def _cell_matrices(checks: list[Check], m: int, n: int) -> None:
         )
 
 
-def _kariso_ok(m: int, n: int, cost: int) -> bool:
-    with configure(mode=MODE_QUOTIENT):
-        want = extremal(m - n)
-        if cost <= _EXPAND_TENSOR:
-            got = kariso_contract(m, n)
-            return got == want or ess_equal(got, want)
-        caps = tensor(gen_id(m - n), nested_caps(n))
-        cups = tensor(gen_id(m - n), nested_cups(n))
-        pw = phi_weight_tensor(m, n)
-        got_map = (phi(caps) * pw * phi(cups)).scale(GaussianRational((-1) ** n))
-        return got_map == phi(want)
+def _decomposes(m: int, n: int) -> bool:
+    return phi_weight_tensor(m, n) == phi_extremal(m + n) + phi_split(m, n)
+
+
+def _splits_off(m: int, n: int) -> bool:
+    pf, pg = iso_diff_maps(m, n)
+    return pg * pf == phi_extremal(m - n) and pf * pg == phi_split(m, n)
 
 
 def _iso_equal_ok(m: int) -> bool:
-    pair1, pair2 = iso_equal(m)
-    empty = phi(gen_id(0))
+    pair1, pair2 = WEIGHTS.iso_equal(m)
     return (
-        phi(pair1.bwd * pair1.fwd) == empty
-        and phi(pair2.bwd * pair2.fwd) == empty
-        and phi(pair1.bwd * pair2.fwd).is_zero()
-        and phi(pair2.bwd * pair1.fwd).is_zero()
-        and phi(pair1.fwd) * phi(pair1.bwd) + phi(pair2.fwd) * phi(pair2.bwd)
-        == phi_split(m, m)
+        pair1.bwd * pair1.fwd == pair1.tgt_idem
+        and pair2.bwd * pair2.fwd == pair2.tgt_idem
+        and (pair1.bwd * pair2.fwd).is_zero()
+        and (pair2.bwd * pair1.fwd).is_zero()
+        and pair1.src_idem + pair2.src_idem == phi_split(m, m)
     )
 
 
@@ -473,34 +403,19 @@ def suite_k0(limit: int | None = None) -> list[Check]:
         _check(
             checks,
             f"m={m}: [T_m][T_1] = [T_(m+1)] + [T_(m-1)]",
-            lambda m=m: _k0_step_ok(m),
+            lambda m=m: _decomposes(m, 1) and _splits_off(m, 1),
         )
         _check(
             checks,
             f"m={m}: first-kind product mirror L_m L_1 = L_(m+1) + L_(m-1)",
             lambda m=m: l_product_identity(m, 1),
         )
-    _check(checks, "base case: [T_1][T_1] = [T_2] + 2[1]", _k0_base_ok)
-    return checks
-
-
-def _k0_step_ok(m: int) -> bool:
-    if phi_weight_tensor(m, 1) != phi_extremal(m + 1) + phi_split(m, 1):
-        return False
-    pair = iso_diff(m, 1)
-    return (
-        phi(pair.bwd * pair.fwd) == phi_extremal(m - 1)
-        and phi(pair.fwd * pair.bwd) == phi_split(m, 1)
+    _check(
+        checks,
+        "base case: [T_1][T_1] = [T_2] + 2[1]",
+        lambda: _decomposes(1, 1) and _iso_equal_ok(1),
     )
-
-
-def _k0_base_ok() -> bool:
-    with configure(mode=MODE_QUOTIENT):
-        lhs = weight_tensor(1, 1)
-        rhs = extremal(2) + split_idempotent(1, 1)
-        if lhs != rhs and not ess_equal(lhs, rhs):
-            return False
-    return _iso_equal_ok(1)
+    return checks
 
 
 def suite_chebyshev(limit: int | None = None) -> list[Check]:

@@ -24,12 +24,13 @@ from atlq import (
     jw_pair,
     lowest_weight,
     phi,
+    phi_chain,
     run_suite,
     tensor,
     verify_properties,
 )
 from atlq.planar import ess_generator, factorize, recompose
-from atlq.projectors import _phi_product, phi_extremal
+from atlq.projectors import phi_extremal
 from atlq.rep import rank_of_columns
 from atlq.scalar import MINUS_ONE, ONE
 
@@ -96,7 +97,7 @@ def test_c05_extremal_projectors():
                 failures.append(f"m={m}: weight map is not the oracle")
         for m in range(1, 7):
             t = extremal(m)
-            if _phi_product(t, t) != phi_extremal(m):
+            if phi_chain(t, t) != phi_extremal(m):
                 failures.append(f"m={m}: T_m not idempotent in the quotient")
         return not failures, failures
 

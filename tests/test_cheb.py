@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from atlq import cheb_j, cheb_l, decat_check, poly_str
+from atlq import cheb_j, cheb_l, poly_str
 from atlq.cheb import (
     j_from_l_identity,
     j_product_identity,
@@ -82,9 +82,3 @@ def test_poly_ring_axioms(a, b, c):
     assert poly_mul(a, poly_add(b, c)) == poly_add(poly_mul(a, b), poly_mul(a, c))
     assert poly_sub(a, a) == ()
 
-
-def test_rank_additivity_matches_product_rule():
-    assert decat_check(1, 1)
-    assert decat_check(2, 1)
-    with pytest.raises(ValueError):
-        decat_check(0, 1)

@@ -130,5 +130,38 @@ def test_mode_flag_beats_environment():
 
 
 def test_max_strands_flag(capsys):
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit) as exc:
         main(["--max-strands", "2", "eval", "id_3", "id_3", "compose"])
+    assert exc.value.code == 2
+    assert "exceeds the configured limit of 2" in capsys.readouterr().err
+
+
+_ID_1 = {"seam": 0, "ess": 0, "arcs": [["I0", "O0"]]}
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["projector", "jw", "0"], {}),
+        (["projector", "extremal", "-1"], {}),
+        (["--max-strands", "3", "projector", "extremal", "4"], {}),
+        (["eval", "u_3_7", "phi"], {}),
+        (["eval", "d_1", "d_2", "compose"], {}),
+        (["eval", "id_2", "id_1", "eq"], {}),
+        (["eval", "zero.json", "phi"],
+         {"zero.json": {"dom": 1, "cod": 1,
+                        "terms": [{"diagram": _ID_1, "coeff": "1/0"}]}}),
+        (["--max-strands", "3", "eval", "wide.json", "phi"],
+         {"wide.json": {"dom": 30, "cod": 30, "terms": []}}),
+        (["eval", "odd.json", "coords"], {"odd.json": {"dom": 1, "cod": 0, "terms": []}}),
+    ],
+)
+def test_bad_input_is_a_one_line_error(argv, files, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -6,6 +6,7 @@ import pytest
 
 from atlq import (
     WeightMap,
+    configure,
     ess_equal,
     extremal,
     extremal_by_recursion,
@@ -34,7 +35,13 @@ from atlq import (
     verify_properties,
     weight_tensor,
 )
-from atlq.projectors import embedded_extremal, phi_extremal, phi_split
+from atlq.projectors import (
+    WEIGHTS,
+    embedded_extremal,
+    phi_extremal,
+    phi_split,
+    phi_weight_tensor,
+)
 from atlq.scalar import HALF, I, ONE
 
 
@@ -148,10 +155,21 @@ def test_split_idempotent_frozen():
     assert len(split_idempotent(2, 1).terms) == 9
 
 
+# the cells whose diagram forms are small enough to expand in a test
+CELLS = ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1))
+
+
 def test_tensor_decomposition():
-    for m, n in ((1, 1), (2, 1), (2, 2)):
-        w = weight_tensor(m, n)
-        assert ess_equal(w, extremal(m + n) + split_idempotent(m, n))
+    for m, n in CELLS:
+        w, e = weight_tensor(m, n), split_idempotent(m, n)
+        assert ess_equal(w, extremal(m + n) + e)
+        # each diagram constructor against its form on leaf weight maps
+        assert phi(w) == phi_weight_tensor(m, n)
+        assert phi(e) == phi_split(m, n)
+        assert phi(kariso_contract(m, n)) == WEIGHTS.kariso_contract(m, n)
+        for r in range(1, min(n, m - 1) + 1):
+            nested = split_idempotent_nested(m, n, r)
+            assert phi(nested) == WEIGHTS.split_nested(m, n, r)
         ps = phi_split(m, n)
         assert ps * ps == ps
         assert (ps * phi_extremal(m + n)).is_zero()
@@ -163,6 +181,8 @@ def test_iso_diff_contracts():
         pair = iso_diff(m, n)
         assert ess_equal(pair.bwd * pair.fwd, pair.tgt_idem)
         assert ess_equal(pair.fwd * pair.bwd, pair.src_idem)
+    for m, n in ((2, 1), (1, 2), (3, 1), (3, 2), (4, 1)):
+        pair = iso_diff(m, n)
         assert pair.tgt_idem == extremal(abs(m - n))
         pf, pg = iso_diff_maps(m, n)
         assert pf == phi(pair.fwd) and pg == phi(pair.bwd)
@@ -179,6 +199,11 @@ def test_iso_equal_contracts():
     assert phi(p1.bwd * p2.fwd).is_zero()
     assert phi(p2.bwd * p1.fwd).is_zero()
     assert phi(p1.src_idem + p2.src_idem) == phi_split(1, 1)
+    for m in (1, 2, 3):
+        pairs, maps = iso_equal(m), WEIGHTS.iso_equal(m)
+        for pair, pmap in zip(pairs, maps):
+            assert phi(pair.fwd) == pmap.fwd and phi(pair.bwd) == pmap.bwd
+            assert phi(pair.src_idem) == pmap.src_idem
 
 
 def test_kariso_contract():
@@ -197,6 +222,28 @@ def test_product_shape_checks():
     e = split_idempotent_nested(2, 1, 1)
     assert (e.dom, e.cod) == (3, 3)
     assert phi(e) == phi_split(2, 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: extremal(4),
+        lambda: jones_wenzl(4),
+        lambda: highest_weight(4),
+        lambda: lowest_weight(4),
+        lambda: weight_tensor(2, 2),
+        lambda: embedded_extremal(4, 2),
+        lambda: phi_extremal(4),
+        lambda: kariso_contract(2, 2),
+        lambda: iso_equal(2),
+    ],
+)
+def test_strand_guard_ignores_call_history(build):
+    build()  # cached now, under the default limit
+    with configure(max_strands=3):
+        with pytest.raises(ValueError, match="exceeds the configured limit"):
+            build()
+    build()
 
 
 # -- highest and lowest weight projectors ------------------------------------

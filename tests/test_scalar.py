@@ -52,8 +52,9 @@ def test_parse_and_str():
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        GaussianRational.parse("one plus i")
+    for text in ("one plus i", "1/0", "2+1/0i"):
+        with pytest.raises(ValueError):
+            GaussianRational.parse(text)
 
 
 def test_division_and_inverse():

@@ -1,0 +1,29 @@
+"""The scripts under scripts/ run end to end on small sizes."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("decategorify.py", ["--max", "2"]),
+        ("projector_growth.py", ["--max", "3"]),
+    ],
+)
+def test_script_runs(script, args):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()
+    assert "MISMATCH" not in done.stdout
