@@ -8,11 +8,9 @@ set to zero; see `configure` to switch to the raw category.
 
 from .canon import coordinates, enumerate_basis, ess_equal, f_apply, f_inverse, phi_chain
 from .cheb import cheb_j, cheb_l, poly_str
-from .config import MODE_QUOTIENT, MODE_RAW, configure, get_config, set_config
+from .config import configure
 from .diagram import (
-    AnnularDiagram,
     Morphism,
-    compose,
     crossing,
     gen_cap,
     gen_cup,
@@ -32,7 +30,6 @@ from .planar import (
     tensor,
 )
 from .projectors import (
-    IsoPair,
     extremal,
     extremal_by_recursion,
     highest_weight,
@@ -55,22 +52,16 @@ from .projectors import (
 )
 from .rep import WeightMap, extremal_matrix, phi
 from .scalar import GaussianRational
-from .verify import SUITES, run_suite
+from .verify import run_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnularDiagram",
     "GaussianRational",
-    "IsoPair",
-    "MODE_QUOTIENT",
-    "MODE_RAW",
     "Morphism",
-    "SUITES",
     "WeightMap",
     "cheb_j",
     "cheb_l",
-    "compose",
     "configure",
     "coordinates",
     "crossing",
@@ -88,7 +79,6 @@ __all__ = [
     "gen_d",
     "gen_id",
     "gen_u",
-    "get_config",
     "highest_weight",
     "iota",
     "iota_prime",
@@ -112,7 +102,6 @@ __all__ = [
     "phi_chain",
     "poly_str",
     "run_suite",
-    "set_config",
     "split_idempotent",
     "split_idempotent_nested",
     "tensor",

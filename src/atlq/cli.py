@@ -26,8 +26,9 @@ Global flags --mode {raw,quotient} and --max-strands N take precedence
 over the ATL_MODE / ATL_MAX_STRANDS environment variables.
 
 Bad input (an unknown or out-of-range operand, mismatched shapes, a
-projector size outside its range or over --max-strands) is reported on
-one "error: ..." line with exit status 2.
+projector size outside its range, or a projector, tensor product or
+coordinate basis over --max-strands) is reported on one "error: ..."
+line with exit status 2.
 """
 
 from __future__ import annotations
@@ -155,6 +156,11 @@ def cmd_eval(args) -> int:
         _usage_error(f"cannot compare {shapes}: the shapes differ")
     if op == "ptrace" and min(ms[0].dom, ms[0].cod) < 1:
         _usage_error(f"cannot close a strand of {shapes}")
+    limit = get_config().max_strands
+    if op == "tensor" and max(ms[0].dom + ms[1].dom, ms[0].cod + ms[1].cod) > limit:
+        _usage_error(f"cannot tensor {shapes}: the result exceeds the configured limit of {limit}")
+    if op == "coords" and ms[0].dom + ms[0].cod > limit:
+        _usage_error(f"cannot take coordinates of {shapes}: dom + cod exceeds the configured limit of {limit}")
     if op == "compose":
         _emit(json.dumps((ms[0] * ms[1]).to_json_obj(), indent=2), args.output)
     elif op == "tensor":

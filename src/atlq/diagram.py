@@ -31,23 +31,24 @@ essential circle.  Composition performs these reductions, and
 circle separates the two boundary components, so diagrams with ess > 0
 cannot have through strands.
 
-`Morphism` wraps a finite linear combination of diagrams with coefficients
-in Q(i).  Composition stacks one annulus inside the other, traces strands
-through the middle circle, counts the circles created, and reduces the
-combined seam.  In quotient mode (the default) terms that acquire an
+`Morphism` is a finite linear combination of diagrams with coefficients in
+Q(i): a `scalar.Combination` whose keys are diagrams, from which it
+inherits construction, the linear structure, equality and JSON text.  It
+adds composition and the tensor product.  Composition stacks one annulus
+inside the other, traces strands through the middle circle, counts the
+circles created, and reduces the combined seam.  In quotient mode (the default) terms that acquire an
 essential circle are dropped.
 """
 
 from __future__ import annotations
 
-import json
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .config import MODE_QUOTIENT, get_config
-from .scalar import MINUS_TWO, ONE, ZERO, GaussianRational
+from .scalar import MINUS_TWO, ONE, Combination, GaussianRational
 
 Point = tuple[str, int]
 Arc = tuple[Point, Point]
@@ -202,9 +203,10 @@ def _point_parse(s: str) -> Point:
 
 def diagram_from_json_obj(obj: dict, dom: int, cod: int) -> AnnularDiagram:
     arcs = [(_point_parse(p), _point_parse(q)) for p, q in obj["arcs"]]
-    d = make_diagram(dom, cod, int(obj["seam"]), int(obj.get("ess", 0)), arcs)
+    d = AnnularDiagram(dom, cod, int(obj["seam"]), int(obj.get("ess", 0)), _norm_arcs(arcs))
+    # validate before interning, so that a rejected diagram stays out of the pool
     d.validate()
-    return d
+    return _intern(d.dom, d.cod, d.seam, d.ess, d.arcs)
 
 
 # -- seam reduction -------------------------------------------------------
@@ -449,52 +451,22 @@ def d_diagram(n: int, e: int = 1) -> AnnularDiagram:
 # -- morphisms ------------------------------------------------------------
 
 
-class Morphism:
-    """A Q(i)-linear combination of annular diagrams m -> n."""
+class Morphism(Combination):
+    """A Q(i)-linear combination of annular diagrams m -> n.
 
-    __slots__ = ("dom", "cod", "terms")
+    Construction, +, -, scale, ==, hash, is_zero, zero, dumps and loads
+    come from `Combination`; here the keys are diagrams.
+    """
 
-    def __init__(self, dom: int, cod: int, terms: dict[AnnularDiagram, GaussianRational] | None = None):
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        clean = {}
-        for d, c in (terms or {}).items():
-            if d.dom != dom or d.cod != cod:
-                raise ValueError("diagram shape does not match morphism shape")
-            if c:
-                clean[d] = c
-        object.__setattr__(self, "terms", clean)
+    __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Morphism is immutable")
+    @staticmethod
+    def _key_shape(d: AnnularDiagram) -> tuple[int, int]:
+        return (d.dom, d.cod)
 
     @classmethod
     def from_diagram(cls, d: AnnularDiagram, coeff: GaussianRational = ONE) -> Morphism:
         return cls(d.dom, d.cod, {d: coeff})
-
-    @classmethod
-    def zero(cls, dom: int, cod: int) -> Morphism:
-        return cls(dom, cod, {})
-
-    # -- linear structure --------------------------------------------------
-
-    def __add__(self, other: Morphism) -> Morphism:
-        self._check_shape(other)
-        terms = dict(self.terms)
-        for d, c in other.terms.items():
-            terms[d] = terms.get(d, ZERO) + c
-        return Morphism(self.dom, self.cod, terms)
-
-    def __sub__(self, other: Morphism) -> Morphism:
-        return self + (-other)
-
-    def __neg__(self) -> Morphism:
-        return Morphism(self.dom, self.cod, {d: -c for d, c in self.terms.items()})
-
-    def scale(self, c) -> Morphism:
-        if not isinstance(c, GaussianRational):
-            c = GaussianRational(Fraction(c))
-        return Morphism(self.dom, self.cod, {d: v * c for d, v in self.terms.items()})
 
     def __rmul__(self, c) -> Morphism:
         if isinstance(c, (int, Fraction, GaussianRational)):
@@ -512,27 +484,6 @@ class Morphism:
         return tensor(self, other)
 
     # -- predicates ---------------------------------------------------------
-
-    def _check_shape(self, other: Morphism) -> None:
-        if self.dom != other.dom or self.cod != other.cod:
-            raise ValueError(
-                f"shape mismatch: {self.dom}->{self.cod} vs {other.dom}->{other.cod}"
-            )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Morphism):
-            return NotImplemented
-        return (
-            self.dom == other.dom
-            and self.cod == other.cod
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.dom, self.cod, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_identity(self) -> bool:
         if self.dom != self.cod or len(self.terms) != 1:
@@ -559,22 +510,13 @@ class Morphism:
             ],
         }
 
-    def dumps(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_obj(), indent=indent)
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> Morphism:
         dom, cod = int(obj["dom"]), int(obj["cod"])
-        terms: dict[AnnularDiagram, GaussianRational] = {}
-        for t in obj["terms"]:
-            d = diagram_from_json_obj(t["diagram"], dom, cod)
-            c = GaussianRational.parse(t["coeff"])
-            terms[d] = terms.get(d, ZERO) + c
-        return cls(dom, cod, terms)
-
-    @classmethod
-    def loads(cls, text: str) -> Morphism:
-        return cls.from_json_obj(json.loads(text))
+        return cls._sum(dom, cod, (
+            (diagram_from_json_obj(t["diagram"], dom, cod), GaussianRational.parse(t["coeff"]))
+            for t in obj["terms"]
+        ))
 
     def __str__(self) -> str:
         if not self.terms:

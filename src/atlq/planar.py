@@ -28,6 +28,7 @@ from .config import get_config
 from .diagram import (
     AnnularDiagram,
     Morphism,
+    _guard,
     cap_diagram,
     compose,
     crossing,
@@ -245,10 +246,10 @@ def iota_diagram(d: AnnularDiagram) -> Morphism:
 
 def iota(x: Morphism) -> Morphism:
     """Insert a through strand to the right of everything: X -> X (x) 1."""
-    out = Morphism.zero(x.dom + 1, x.cod + 1)
-    for d, c in x.terms.items():
-        out = out + iota_diagram(d).scale(c)
-    return out
+    _guard(max(x.dom, x.cod) + 1)
+    return Morphism._sum(x.dom + 1, x.cod + 1, (
+        (k, c * v) for d, c in x.terms.items() for k, v in iota_diagram(d).terms.items()
+    ))
 
 
 def iota_prime(x: Morphism) -> Morphism:
@@ -267,6 +268,7 @@ def is_planar(x: Morphism) -> bool:
 
 def tensor(x: Morphism, y: Morphism) -> Morphism:
     """Superposition x (x) y, with x inserted counterclockwise of y."""
+    _guard(max(x.dom + y.dom, x.cod + y.cod))
     if is_planar(x) and is_planar(y):
         return _tensor_planar(x, y)
     if x.is_identity():

@@ -23,12 +23,11 @@ exactly at the same time.
 
 from __future__ import annotations
 
-import json
 from itertools import product
 
 from .diagram import AnnularDiagram, Morphism
 from .planar import factorize
-from .scalar import I, MINUS_I, MINUS_ONE, ONE, ZERO, GaussianRational
+from .scalar import I, MINUS_I, ONE, ZERO, Combination, GaussianRational
 
 
 def sign_strings(n: int) -> list[str]:
@@ -36,60 +35,25 @@ def sign_strings(n: int) -> list[str]:
     return ["".join(bits) for bits in product("+-", repeat=n)]
 
 
-class WeightMap:
-    """A sparse exact matrix indexed by sign strings."""
+class WeightMap(Combination):
+    """A sparse exact matrix indexed by sign strings.
 
-    __slots__ = ("dom", "cod", "entries")
+    A `Combination` of matrix units: the key (row, col) is a pair of sign
+    strings of lengths cod and dom.  Construction, +, -, scale, ==, hash,
+    is_zero, zero, dumps and loads are inherited; `entries` is another
+    name for `terms`.
+    """
 
-    def __init__(self, dom: int, cod: int, entries=None):
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        clean: dict[tuple[str, str], GaussianRational] = {}
-        for (row, col), v in (entries or {}).items():
-            if len(row) != cod or len(col) != dom:
-                raise ValueError("entry index length does not match shape")
-            if v:
-                clean[(row, col)] = v
-        object.__setattr__(self, "entries", clean)
+    __slots__ = ()
+    entries = Combination.terms
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightMap is immutable")
+    @staticmethod
+    def _key_shape(key: tuple[str, str]) -> tuple[int, int]:
+        return (len(key[1]), len(key[0]))
 
     @classmethod
     def identity(cls, n: int) -> WeightMap:
         return cls(n, n, {(s, s): ONE for s in sign_strings(n)})
-
-    @classmethod
-    def zero(cls, dom: int, cod: int) -> WeightMap:
-        return cls(dom, cod, {})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeightMap):
-            return NotImplemented
-        return (
-            self.dom == other.dom
-            and self.cod == other.cod
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.dom, self.cod, frozenset(self.entries.items())))
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __add__(self, other: WeightMap) -> WeightMap:
-        if (self.dom, self.cod) != (other.dom, other.cod):
-            raise ValueError("shape mismatch")
-        entries = dict(self.entries)
-        for k, v in other.entries.items():
-            entries[k] = entries.get(k, ZERO) + v
-        return WeightMap(self.dom, self.cod, entries)
-
-    def scale(self, c) -> WeightMap:
-        if not isinstance(c, GaussianRational):
-            c = GaussianRational(c)
-        return WeightMap(self.dom, self.cod, {k: v * c for k, v in self.entries.items()})
 
     def __mul__(self, other: WeightMap) -> WeightMap:
         """Matrix product self . other (other applied first)."""
@@ -113,10 +77,6 @@ class WeightMap:
             for (r2, c2), w in other.entries.items():
                 entries[(r1 + r2, c1 + c2)] = v * w
         return WeightMap(self.dom + other.dom, self.cod + other.cod, entries)
-
-    def apply(self, col: str) -> dict[str, GaussianRational]:
-        """Image of a basis sign string, as a sparse column."""
-        return {r: v for (r, c), v in self.entries.items() if c == col}
 
     def columns(self) -> dict[str, dict[str, GaussianRational]]:
         cols: dict[str, dict[str, GaussianRational]] = {}
@@ -147,19 +107,12 @@ class WeightMap:
             ],
         }
 
-    def dumps(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_obj(), indent=indent)
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> WeightMap:
         entries = {
             (r, c): GaussianRational.parse(v) for r, c, v in obj["entries"]
         }
         return cls(int(obj["dom"]), int(obj["cod"]), entries)
-
-    @classmethod
-    def loads(cls, text: str) -> WeightMap:
-        return cls.from_json_obj(json.loads(text))
 
     def __str__(self) -> str:
         if not self.entries:
@@ -231,10 +184,9 @@ def phi_diagram(d: AnnularDiagram) -> WeightMap:
 
 
 def phi(x: Morphism) -> WeightMap:
-    out = WeightMap.zero(x.dom, x.cod)
-    for d, c in x.terms.items():
-        out = out + phi_diagram(d).scale(c)
-    return out
+    return WeightMap._sum(x.dom, x.cod, (
+        (k, c * v) for d, c in x.terms.items() for k, v in phi_diagram(d).terms.items()
+    ))
 
 
 def extremal_matrix(m: int) -> WeightMap:

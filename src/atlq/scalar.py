@@ -10,12 +10,18 @@ coefficient left implicit:
 
 >>> print(GaussianRational.parse("1/2-i") * GaussianRational.parse("i"))
 1+1/2i
+
+`Combination` is a finite sum of keys with coefficients in Q(i), read as
+a map dom -> cod.  Both linear objects of the package are such sums: a
+`Morphism` sums diagrams, a `WeightMap` sums matrix units.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
+from itertools import chain
 
 
 class GaussianRational:
@@ -77,10 +83,6 @@ class GaussianRational:
             base = base * base
             k >>= 1
         return out
-
-    def scale(self, q: Fraction | int) -> GaussianRational:
-        q = Fraction(q)
-        return GaussianRational(self.re * q, self.im * q)
 
     # -- comparisons ------------------------------------------------------
 
@@ -167,5 +169,87 @@ MINUS_I = GaussianRational(0, -1)
 HALF = GaussianRational(Fraction(1, 2))
 
 
-def from_rational(q: Fraction | int) -> GaussianRational:
-    return GaussianRational(q)
+class Combination:
+    """A finite Q(i)-linear combination of keys, with a shape dom -> cod.
+
+    `terms` maps each key to its nonzero coefficient.  Subclasses give the
+    shape (dom, cod) of a key as the static method `_key_shape`, JSON text
+    (`to_json_obj`, `from_json_obj`) and printing; the linear structure,
+    equality and the key check live here.
+    """
+
+    __slots__ = ("dom", "cod", "terms")
+
+    def __init__(self, dom: int, cod: int, terms: dict | None = None):
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        shape = (dom, cod)
+        key_shape = self._key_shape
+        clean = {}
+        for k, c in (terms or {}).items():
+            if key_shape(k) != shape:
+                kd, kc = key_shape(k)
+                raise ValueError(f"a {kd}->{kc} term does not fit {type(self).__name__} {dom}->{cod}")
+            if c:
+                clean[k] = c
+        object.__setattr__(self, "terms", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls, dom: int, cod: int):
+        return cls(dom, cod)
+
+    @classmethod
+    def _sum(cls, dom: int, cod: int, pairs):
+        """The combination of the (key, coefficient) pairs, repeated keys added."""
+        acc: dict = {}
+        for k, c in pairs:
+            prev = acc.get(k)
+            acc[k] = c if prev is None else prev + c
+        return cls(dom, cod, acc)
+
+    # -- linear structure ---------------------------------------------------
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if (self.dom, self.cod) != (other.dom, other.cod):
+            raise ValueError(
+                f"shape mismatch: {self.dom}->{self.cod} vs {other.dom}->{other.cod}"
+            )
+        return self._sum(self.dom, self.cod, chain(self.terms.items(), other.terms.items()))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(self.dom, self.cod, {k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        if not isinstance(c, GaussianRational):
+            c = GaussianRational(c)
+        return type(self)(self.dom, self.cod, {k: v * c for k, v in self.terms.items()})
+
+    # -- comparisons ----------------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.dom == other.dom and self.cod == other.cod and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.dom, self.cod, frozenset(self.terms.items())))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    # -- serialization ----------------------------------------------------------
+
+    def dumps(self, indent: int | None = 2) -> str:
+        return json.dumps(self.to_json_obj(), indent=indent)
+
+    @classmethod
+    def loads(cls, text: str):
+        return cls.from_json_obj(json.loads(text))

@@ -154,6 +154,8 @@ _ID_1 = {"seam": 0, "ess": 0, "arcs": [["I0", "O0"]]}
         (["--max-strands", "3", "eval", "wide.json", "phi"],
          {"wide.json": {"dom": 30, "cod": 30, "terms": []}}),
         (["eval", "odd.json", "coords"], {"odd.json": {"dom": 1, "cod": 0, "terms": []}}),
+        (["--max-strands", "3", "eval", "id_2", "id_2", "tensor"], {}),
+        (["--max-strands", "3", "eval", "u_2_1", "coords"], {}),
     ],
 )
 def test_bad_input_is_a_one_line_error(argv, files, tmp_path, monkeypatch, capsys):

@@ -16,8 +16,10 @@ from atlq import (
     gen_d,
     gen_id,
     gen_u,
+    iota,
+    tensor,
 )
-from atlq.diagram import cap_diagram, compose, cup_diagram, make_diagram, u0_diagram
+from atlq.diagram import _POOL, cap_diagram, compose, cup_diagram, make_diagram, u0_diagram
 from atlq.scalar import HALF, MINUS_TWO, ONE
 
 from helpers import random_single_diagram
@@ -137,6 +139,14 @@ def test_strand_guard():
         with pytest.raises(ValueError):
             gen_id(5)
     gen_id(5)
+    # the planar tensor and the seam-free insertion build their diagrams
+    # without a generator constructor, so they check the shape themselves
+    with configure(max_strands=3):
+        with pytest.raises(ValueError, match="exceeds the configured limit"):
+            tensor(gen_id(2), gen_id(2))
+        with pytest.raises(ValueError, match="exceeds the configured limit"):
+            iota(gen_id(3))
+    assert tensor(gen_id(2), gen_id(2)) == iota(gen_id(3))
 
 
 # -- morphism algebra --------------------------------------------------------
@@ -182,6 +192,14 @@ def test_json_round_trip_frozen():
 def test_json_round_trip_random(seed, n):
     m = random_single_diagram(random.Random(seed), n, 6)
     assert Morphism.loads(m.dumps()) == m
+
+
+def test_rejected_json_diagram_stays_out_of_the_pool():
+    crossed = {"seam": 0, "ess": 0, "arcs": [["I0", "O1"], ["I1", "O0"]]}
+    before = len(_POOL)
+    with pytest.raises(ValueError, match="cross"):
+        Morphism.from_json_obj({"dom": 2, "cod": 2, "terms": [{"coeff": "1", "diagram": crossed}]})
+    assert len(_POOL) == before
 
 
 def test_diagram_interning():

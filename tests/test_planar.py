@@ -1,10 +1,13 @@
 """Strand insertion, tensor, partial trace, factorization, essential circles."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from atlq import (
+    GaussianRational,
+    Morphism,
     WeightMap,
     configure,
     crossing,
@@ -25,10 +28,10 @@ from atlq import (
     phi,
     tensor,
 )
-from atlq.planar import ess_generator, recompose
+from atlq.planar import ess_generator, iota_diagram, recompose
 from atlq.scalar import MINUS_ONE, MINUS_TWO, ONE
 
-from helpers import random_single_diagram
+from helpers import compose_word, random_single_diagram, random_word
 
 
 def only_diagram(m):
@@ -98,9 +101,23 @@ def test_iota_is_tensor_with_identity_on_weights():
     rng = random.Random(7)
     samples = [gen_d(2, 1), gen_u(3, 0), crossing(2, 0) * gen_d(2, 1)]
     samples += [random_single_diagram(rng, 3, 5) for _ in range(5)]
+    samples += [extremal(3)] + [compose_word(random_word(rng, n, 5), n) for n in (2, 3)]
     for x in samples:
         assert phi(iota(x)) == phi(x).tensor(WeightMap.identity(1))
         assert phi(iota_prime(x)) == WeightMap.identity(1).tensor(phi(x))
+
+
+def test_iota_is_linear():
+    rng = random.Random(13)
+    c = GaussianRational(Fraction(2, 3), 1)
+    samples = [extremal(3)] + [compose_word(random_word(rng, n, 5), n) for n in (1, 2, 3, 3)]
+    for x in samples:
+        assert iota(x.scale(c) + x.scale(-c)).is_zero()
+        assert iota(x + x) == iota(x).scale(2)
+        by_terms = Morphism.zero(x.dom + 1, x.cod + 1)
+        for d, v in x.terms.items():
+            by_terms = by_terms + iota_diagram(d).scale(v)
+        assert iota(x) == by_terms
 
 
 def test_iota_functorial():

@@ -7,6 +7,7 @@ import pytest
 from atlq import (
     GaussianRational,
     WeightMap,
+    extremal,
     extremal_matrix,
     gen_cap,
     gen_cup,
@@ -15,7 +16,7 @@ from atlq import (
     gen_u,
     phi,
 )
-from atlq.rep import rank_of_columns, sign_strings, solve_columns
+from atlq.rep import phi_diagram, rank_of_columns, sign_strings, solve_columns
 from atlq.scalar import I, MINUS_ONE, ONE, TWO
 
 from helpers import compose_word, random_word
@@ -81,16 +82,27 @@ def test_functorial_on_seeded_words():
         assert phi(x) == prod
 
 
+def test_phi_is_linear():
+    rng = random.Random(5)
+    samples = [extremal(3)] + [compose_word(random_word(rng, n, 5), n) for n in (1, 2, 3, 3)]
+    for x in samples:
+        y = compose_word(random_word(rng, x.dom, 5), x.dom)
+        assert phi(x + y - y) == phi(x)
+        assert phi(x + x) == phi(x).scale(2)
+        by_terms = WeightMap.zero(x.dom, x.cod)
+        for d, c in x.terms.items():
+            by_terms = by_terms + phi_diagram(d).scale(c)
+        assert phi(x) == by_terms
+
+
 def test_mul_shape_check():
     with pytest.raises(ValueError):
         phi(gen_u(2, 1)) * WeightMap.identity(3)
 
 
-def test_apply_and_columns():
-    cap = phi(gen_cap(2, 0))
-    assert cap.apply("+-") == {"": MINUS_ONE}
-    assert cap.apply("++") == {}
-    cols = cap.columns()
+def test_columns():
+    cols = phi(gen_cap(2, 0)).columns()
+    assert cols["+-"] == {"": MINUS_ONE}
     assert set(cols) == {"+-", "-+"}
 
 

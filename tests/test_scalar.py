@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from atlq import Morphism, WeightMap
+from atlq.diagram import id_diagram, u_diagram
 from atlq.scalar import (
     HALF,
     I,
@@ -13,8 +15,8 @@ from atlq.scalar import (
     MINUS_TWO,
     ONE,
     ZERO,
+    Combination,
     GaussianRational,
-    from_rational,
 )
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=10**4)
@@ -65,10 +67,6 @@ def test_division_and_inverse():
         ZERO.inverse()
 
 
-def test_from_rational():
-    assert from_rational(Fraction(5, 3)) == GaussianRational(Fraction(5, 3))
-
-
 @given(gaussians, gaussians, gaussians)
 def test_ring_axioms(a, b, c):
     assert a + b == b + a
@@ -96,3 +94,36 @@ def test_inverse_is_two_sided(a):
     if not a.is_zero():
         assert a.inverse() * a == ONE
         assert a ** -2 == (a.inverse()) ** 2
+
+
+# -- finite sums: the core shared by Morphism and WeightMap -------------------
+
+
+@pytest.mark.parametrize(
+    "cls, key, misfit",
+    [
+        (Morphism, u_diagram(2, 1), id_diagram(3)),
+        (WeightMap, ("+-", "-+"), ("+", "+-")),
+    ],
+    ids=["Morphism", "WeightMap"],
+)
+def test_combination_core(cls, key, misfit):
+    assert issubclass(cls, Combination)
+    x = cls(2, 2, {key: HALF})
+    assert cls(2, 2, {key: ZERO}).terms == {}
+    assert (x - x).terms == {} and (x - x).is_zero()
+    assert x + x == x.scale(2) and hash(x + x) == hash(x.scale(2))
+    assert -x == x.scale(-1)
+    assert cls.loads(x.dumps()) == x
+    with pytest.raises(ValueError):
+        cls(2, 2, {misfit: ONE})
+    with pytest.raises(ValueError):
+        x + cls.zero(3, 3)
+    with pytest.raises(AttributeError):
+        x.terms = {}
+    with pytest.raises(AttributeError):
+        x.dom = 3
+    assert cls.zero(2, 3).is_zero()
+    other = WeightMap if cls is Morphism else Morphism
+    assert cls.zero(2, 2) != other.zero(2, 2)
+    assert x != other(2, 2)

@@ -15,9 +15,12 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ("decategorify.py", ["--max", "2"]),
         ("projector_growth.py", ["--max", "3"]),
+        ("render_gallery.py", ["--out", "{tmp}"]),
+        ("render_gallery.py", ["--tikz", "--out", "{tmp}"]),
     ],
 )
-def test_script_runs(script, args):
+def test_script_runs(script, args, tmp_path):
+    args = [a.format(tmp=tmp_path) for a in args]
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     done = subprocess.run(
