@@ -42,7 +42,7 @@ from typing import NoReturn
 from .canon import coordinates, enumerate_basis, ess_equal, labels_from_matching
 from .config import get_config, set_config
 from .diagram import Morphism, crossing, gen_cap, gen_cup, gen_d, gen_id, gen_u
-from .planar import ess_generator, partial_trace, tensor
+from .planar import ess_generator, is_planar, partial_trace, tensor
 from .projectors import extremal, highest_weight, jones_wenzl, lowest_weight
 from .render import render_ascii, render_svg, render_tikz
 from .rep import phi
@@ -161,6 +161,9 @@ def cmd_eval(args) -> int:
         _usage_error(f"cannot tensor {shapes}: the result exceeds the configured limit of {limit}")
     if op == "coords" and ms[0].dom + ms[0].cod > limit:
         _usage_error(f"cannot take coordinates of {shapes}: dom + cod exceeds the configured limit of {limit}")
+    # a non-planar trace runs cap . iota(x) . cup, one strand wider than x
+    if op == "ptrace" and not is_planar(ms[0]) and max(ms[0].dom, ms[0].cod) + 1 > limit:
+        _usage_error(f"cannot close a strand of {shapes}: the non-planar trace needs one strand over the configured limit of {limit}")
     if op == "compose":
         _emit(json.dumps((ms[0] * ms[1]).to_json_obj(), indent=2), args.output)
     elif op == "tensor":

@@ -109,10 +109,9 @@ class WeightMap(Combination):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> WeightMap:
-        entries = {
-            (r, c): GaussianRational.parse(v) for r, c, v in obj["entries"]
-        }
-        return cls(int(obj["dom"]), int(obj["cod"]), entries)
+        return cls._sum(int(obj["dom"]), int(obj["cod"]), (
+            ((r, c), GaussianRational.parse(v)) for r, c, v in obj["entries"]
+        ))
 
     def __str__(self) -> str:
         if not self.entries:

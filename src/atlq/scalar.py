@@ -2,8 +2,10 @@
 
 Every coefficient in this package lives in Q(i).  Diagram reductions only
 ever multiply by -2 and by fourth roots of unity, and the projector
-recursions divide by small integers, so a pair of Fractions with schoolbook
-arithmetic is all we need.  No floats anywhere.
+recursions divide by small integers, so one common denominator is all we
+need: a `GaussianRational` is three ints (a, b, d) meaning (a + b*i)/d,
+with d > 0 and gcd(a, b, d) == 1.  Every value has exactly one such form,
+so `==` and `hash` compare the three ints.  No floats anywhere.
 
 String format is "a+bi" with rationals printed as n/d and a unit imaginary
 coefficient left implicit:
@@ -22,55 +24,79 @@ import json
 import re
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
+
+_TERM = re.compile(r"\s*(?P<sign>[+-]?)\s*(?P<mag>\d+(?:/\d+)?)?(?P<unit>i)?")
 
 
 class GaussianRational:
-    __slots__ = ("re", "im")
+    """The Gaussian rational (a + b*i)/d, immutable.
 
-    def __init__(self, re: Fraction | int = 0, im: Fraction | int = 0):
-        if type(re) is not Fraction:
-            re = Fraction(re)
-        if type(im) is not Fraction:
-            im = Fraction(im)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+    Invariant: a, b, d are ints, d > 0 and gcd(a, b, d) == 1, so equal
+    values have equal (a, b, d).  Construct from the rational parts,
+    `GaussianRational(re, im)` with ints or Fractions; `re` and `im` read
+    them back as Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __new__(cls, re: Fraction | int = 0, im: Fraction | int = 0):
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        return _make(re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: GaussianRational) -> GaussianRational:
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _make(self.a + other.a, self.b + other.b, d1)
+        return _make(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
 
     def __sub__(self, other: GaussianRational) -> GaussianRational:
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _make(self.a - other.a, self.b - other.b, d1)
+        return _make(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
 
     def __neg__(self) -> GaussianRational:
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def __mul__(self, other: GaussianRational) -> GaussianRational:
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
         # real factors dominate in practice; skip the cross terms for them
-        if not b:
-            return GaussianRational(a * c, a * d)
-        if not d:
-            return GaussianRational(a * c, b * c)
-        return GaussianRational(a * c - b * d, a * d + b * c)
+        if not b1:
+            return _make(a1 * a2, a1 * b2, self.d * other.d)
+        if not b2:
+            return _make(a1 * a2, b1 * a2, self.d * other.d)
+        return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     def __truediv__(self, other: GaussianRational) -> GaussianRational:
         return self * other.inverse()
 
     def inverse(self) -> GaussianRational:
-        n = self.re * self.re + self.im * self.im
+        # d / (a + b*i) = d * (a - b*i) / (a^2 + b^2)
+        a, b, d = self.a, self.b, self.d
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _make(d * a, -d * b, n)
 
     def conjugate(self) -> GaussianRational:
-        return GaussianRational(self.re, -self.im)
+        return _make(self.a, -self.b, self.d)
 
     def __pow__(self, k: int) -> GaussianRational:
         if k < 0:
@@ -89,20 +115,18 @@ class GaussianRational:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self.a != 0 or self.b != 0
 
     def is_zero(self) -> bool:
         return not self
 
     # -- parsing / printing ----------------------------------------------
-
-    _TERM = re.compile(r"\s*(?P<sign>[+-]?)\s*(?P<mag>\d+(?:/\d+)?)?(?P<unit>i)?")
 
     @classmethod
     def parse(cls, text: str) -> GaussianRational:
@@ -114,7 +138,7 @@ class GaussianRational:
         re_part = im_part = None
         pos = 0
         while pos < len(text):
-            m = cls._TERM.match(text, pos)
+            m = _TERM.match(text, pos)
             if m is None or m.end() == pos:
                 raise ValueError(f"bad scalar literal: {text!r}")
             sign = -1 if m.group("sign") == "-" else 1
@@ -141,13 +165,14 @@ class GaussianRational:
     def __str__(self) -> str:
         if not self:
             return "0"
+        re, im = self.re, self.im
         parts = []
-        if self.re:
-            parts.append(str(self.re))
-        if self.im:
-            mag = abs(self.im)
+        if re:
+            parts.append(str(re))
+        if im:
+            mag = abs(im)
             body = "i" if mag == 1 else f"{mag}i"
-            if self.im < 0:
+            if im < 0:
                 parts.append("-" + body)
             elif parts:
                 parts.append("+" + body)
@@ -157,6 +182,27 @@ class GaussianRational:
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+_set_a = GaussianRational.a.__set__
+_set_b = GaussianRational.b.__set__
+_set_d = GaussianRational.d.__set__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """The GaussianRational (a + b*i)/d for ints a, b and d > 0, reduced."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    z = _new(GaussianRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
 
 
 ZERO = GaussianRational(0)

@@ -156,6 +156,7 @@ _ID_1 = {"seam": 0, "ess": 0, "arcs": [["I0", "O0"]]}
         (["eval", "odd.json", "coords"], {"odd.json": {"dom": 1, "cod": 0, "terms": []}}),
         (["--max-strands", "3", "eval", "id_2", "id_2", "tensor"], {}),
         (["--max-strands", "3", "eval", "u_2_1", "coords"], {}),
+        (["--max-strands", "3", "eval", "d_3", "ptrace"], {}),
     ],
 )
 def test_bad_input_is_a_one_line_error(argv, files, tmp_path, monkeypatch, capsys):
@@ -167,3 +168,11 @@ def test_bad_input_is_a_one_line_error(argv, files, tmp_path, monkeypatch, capsy
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_planar_ptrace_at_the_limit(capsys):
+    # a planar operand is traced in place, so it may use every allowed strand
+    code, out = run(capsys, "--max-strands", "3", "eval", "id_3", "ptrace")
+    assert code == 0
+    traced = Morphism.from_json_obj(json.loads(out))
+    assert (traced.dom, traced.cod) == (2, 2) and traced.terms

@@ -162,3 +162,10 @@ def test_json_round_trip():
     text = m.dumps()
     assert WeightMap.loads(text) == m
     assert m.dumps() == text
+
+
+def test_json_repeated_entries_add():
+    twice = {"dom": 1, "cod": 1, "entries": [["+", "+", "1"], ["+", "+", "1"]]}
+    assert WeightMap.from_json_obj(twice) == WeightMap(1, 1, {("+", "+"): TWO})
+    cancel = {"dom": 1, "cod": 1, "entries": [["+", "+", "1"], ["+", "+", "-1"]]}
+    assert WeightMap.from_json_obj(cancel).is_zero()

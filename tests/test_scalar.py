@@ -1,6 +1,7 @@
 """Exact Gaussian-rational arithmetic."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -94,6 +95,64 @@ def test_inverse_is_two_sided(a):
     if not a.is_zero():
         assert a.inverse() * a == ONE
         assert a ** -2 == (a.inverse()) ** 2
+
+
+# -- the (a, b, d) kernel against plain pairs of Fractions ---------------------
+
+
+def _pair_mul(x, y):
+    (p, q), (r, s) = x, y
+    return (p * r - q * s, p * s + q * r)
+
+
+def _pair_pow(x, k):
+    if k < 0:
+        p, q = x
+        n = p * p + q * q
+        x, k = (p / n, -q / n), -k
+    out = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        out = _pair_mul(out, x)
+    return out
+
+
+def _reduced(z):
+    """(re, im) of z, after checking the invariant of its (a, b, d) form."""
+    assert type(z.a) is int and type(z.b) is int and type(z.d) is int
+    assert z.d > 0 and gcd(z.a, z.b, z.d) == 1
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    return (z.re, z.im)
+
+
+@given(rationals, rationals, rationals, rationals, st.integers(-4, 4))
+def test_kernel_matches_fraction_pairs(p, q, r, s, k):
+    a, b = GaussianRational(p, q), GaussianRational(r, s)
+    assert _reduced(a) == (p, q) and _reduced(b) == (r, s)
+    assert _reduced(a + b) == (p + r, q + s)
+    assert _reduced(a - b) == (p - r, q - s)
+    assert _reduced(-a) == (-p, -q)
+    assert _reduced(a * b) == _pair_mul((p, q), (r, s))
+    assert _reduced(a.conjugate()) == (p, -q)
+    if a:
+        n = p * p + q * q
+        assert _reduced(a.inverse()) == (p / n, -q / n)
+    if a or k >= 0:
+        assert _reduced(a**k) == _pair_pow((p, q), k)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (HALF + HALF, ONE),
+        (GaussianRational(Fraction(2, 4)), HALF),
+        (GaussianRational.parse("2/4-2/4i"), HALF - HALF * I),
+        (GaussianRational(Fraction(1, 3), Fraction(1, 6)) * GaussianRational(6), GaussianRational(2, 1)),
+        (I * I + ONE, ZERO),
+    ],
+)
+def test_equal_values_have_one_form(x, y):
+    assert x == y and hash(x) == hash(y)
+    assert (x.a, x.b, x.d) == (y.a, y.b, y.d)
 
 
 # -- finite sums: the core shared by Morphism and WeightMap -------------------
