@@ -12,8 +12,10 @@ quotient hom space, and the weight functor keeps their diagrams linearly
 independent.
 
 A general hom(a, b) flattens into hom(0, a+b) by bending all inputs up
-with nested cups; `coordinates` expresses any morphism exactly in the
-label-string basis by solving against the basis weight maps.
+with nested cups (`f_apply`).  `coordinates` does that bend on weight
+maps, where phi is strict monoidal, and solves the bent weight vector
+exactly against the basis weight vectors; the diagram bend stays as its
+independent oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import product
 
 from .diagram import AnnularDiagram, Morphism, gen_id, make_diagram
 from .planar import nested_caps, nested_cups, tensor
-from .rep import phi, solve_columns
+from .rep import WeightMap, phi, phi_diagram, solve_columns
 
 LabelString = str
 
@@ -118,13 +120,26 @@ def f_inverse(y: Morphism, dom: int) -> Morphism:
     return tensor(gen_id(cod), nested_caps(dom)) * tensor(y, gen_id(dom))
 
 
+def basis_columns(n_points: int) -> list[dict]:
+    """The weight vectors of the basis diagrams of hom(0, n_points), in label order."""
+    return [phi_diagram(b).columns().get("", {}) for b in enumerate_basis(n_points)]
+
+
 def coordinates(x: Morphism) -> list:
-    """Exact coefficients of x in the label-string basis of hom(0, dom+cod)."""
-    flat = f_apply(x)
-    basis = enumerate_basis(x.dom + x.cod)
-    cols = [phi(Morphism.from_diagram(b)).columns().get("", {}) for b in basis]
-    target = phi(flat).columns().get("", {})
-    coeffs = solve_columns(cols, target)
+    """Exact coefficients of x in the label-string basis of hom(0, dom+cod).
+
+    The bend is done on weights: phi(f_apply(x)) is
+    (phi(x) (x) id_dom) . phi(nested_cups(dom)), summed here entry by entry,
+    and then solved against `basis_columns`.
+    """
+    a = x.dom
+    cols = phi(x).columns()
+    bent = WeightMap._sum(0, a + x.cod, (
+        ((r + s[a:], ""), v * w)
+        for (s, _), w in phi(nested_cups(a)).entries.items()
+        for r, v in cols.get(s[:a], {}).items()
+    ))
+    coeffs = solve_columns(basis_columns(a + x.cod), bent.columns().get("", {}))
     if coeffs is None:
         raise ValueError("morphism does not lie in the diagram span")
     return coeffs

@@ -8,12 +8,15 @@ of -2 regardless of mode.
 
 Environment variables ATL_MODE and ATL_MAX_STRANDS seed the defaults;
 explicit set_config / configure calls (and CLI flags) override them.
+The config lives in a context variable, so each thread and each asyncio
+task sees its own overrides; a new thread starts from the defaults.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 MODE_QUOTIENT = "quotient"
@@ -21,7 +24,7 @@ MODE_RAW = "raw"
 _MODES = (MODE_QUOTIENT, MODE_RAW)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
     max_strands: int = 24
     mode: str = MODE_QUOTIENT
@@ -42,16 +45,15 @@ def _from_env() -> EngineConfig:
     return EngineConfig(**kwargs)
 
 
-_config = _from_env()
+_config: ContextVar[EngineConfig] = ContextVar("atlq_config", default=_from_env())
 
 
 def get_config() -> EngineConfig:
-    return _config
+    return _config.get()
 
 
 def set_config(cfg: EngineConfig) -> None:
-    global _config
-    _config = cfg
+    _config.set(cfg)
 
 
 @contextmanager
@@ -62,10 +64,9 @@ def configure(**kwargs):
     ...     get_config().mode
     'raw'
     """
-    global _config
-    old = _config
-    _config = replace(old, **kwargs)
+    cfg = replace(_config.get(), **kwargs)
+    token = _config.set(cfg)
     try:
-        yield _config
+        yield cfg
     finally:
-        _config = old
+        _config.reset(token)

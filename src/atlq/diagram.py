@@ -84,6 +84,11 @@ class AnnularDiagram:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # str hashes are salted per process, so the cached hash must not
+        # travel; reloading interns the diagram and hashes it afresh
+        return (_intern, (self.dom, self.cod, self.seam, self.ess, self.arcs))
+
     def __eq__(self, other) -> bool:
         if self is other:
             return True

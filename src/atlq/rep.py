@@ -205,30 +205,40 @@ def extremal_matrix(m: int) -> WeightMap:
 # -- exact elimination ---------------------------------------------------------
 
 
+def _reduce(col: dict[str, GaussianRational], pivots) -> None:
+    """Subtract from col, in place, its multiple of each pivot in turn."""
+    for prow, pcol in pivots:
+        f = col.get(prow)
+        if f:
+            for r, v in pcol.items():
+                nv = col.get(r, ZERO) - f * v
+                if nv:
+                    col[r] = nv
+                else:
+                    col.pop(r, None)
+
+
+def _eliminate(cols) -> list[tuple[str, dict[str, GaussianRational]]]:
+    """Gaussian elimination on a sparse column family over Q(i).
+
+    Each column is reduced against the pivots found before it.  A column
+    that survives is scaled to 1 at its least row, its pivot row.  Returns
+    the (pivot row, normalized column) pairs, one per independent column.
+    """
+    pivots: list[tuple[str, dict[str, GaussianRational]]] = []
+    for col in cols:
+        col = {r: v for r, v in col.items() if v}
+        _reduce(col, pivots)
+        if col:
+            prow = min(col)
+            inv = col[prow].inverse()
+            pivots.append((prow, {r: v * inv for r, v in col.items()}))
+    return pivots
+
+
 def rank_of_columns(cols: list[dict[str, GaussianRational]]) -> int:
     """Rank of a sparse column family over Q(i), by Gaussian elimination."""
-    pivots: list[tuple[str, dict[str, GaussianRational]]] = []
-    rank = 0
-    for col in cols:
-        col = dict(col)
-        for prow, pcol in pivots:
-            f = col.get(prow)
-            if f:
-                for r, v in pcol.items():
-                    nv = col.get(r, ZERO) - f * v
-                    if nv:
-                        col[r] = nv
-                    else:
-                        col.pop(r, None)
-        col = {r: v for r, v in col.items() if v}
-        if not col:
-            continue
-        prow = min(col)
-        inv = col[prow].inverse()
-        col = {r: v * inv for r, v in col.items()}
-        pivots.append((prow, col))
-        rank += 1
-    return rank
+    return len(_eliminate(cols))
 
 
 def solve_columns(
@@ -236,49 +246,18 @@ def solve_columns(
 ) -> list[GaussianRational] | None:
     """Exact coefficients writing target as a combination of cols, or None.
 
-    Assumes the columns are linearly independent (which is how this package
-    uses it: the diagram basis maps to independent weight maps).
+    Raises ValueError unless the columns are linearly independent (which is
+    how this package uses it: the diagram basis maps to independent weight
+    maps).  Column j carries one extra tag row "~j", which sorts after every
+    sign string, so a pivot on a tag row marks a dependent column, and the
+    tag rows left in the reduced target hold minus its coefficients.
     """
-    pivots: list[tuple[str, dict[str, GaussianRational], dict[int, GaussianRational]]] = []
-    for j, col in enumerate(cols):
-        col = dict(col)
-        combo = {j: ONE}
-        for prow, pcol, pcombo in pivots:
-            f = col.get(prow)
-            if f:
-                for r, v in pcol.items():
-                    nv = col.get(r, ZERO) - f * v
-                    if nv:
-                        col[r] = nv
-                    else:
-                        col.pop(r, None)
-                for jj, v in pcombo.items():
-                    nv = combo.get(jj, ZERO) - f * v
-                    if nv:
-                        combo[jj] = nv
-                    else:
-                        combo.pop(jj, None)
-        col = {r: v for r, v in col.items() if v}
-        if not col:
-            raise ValueError("columns are linearly dependent")
-        prow = min(col)
-        inv = col[prow].inverse()
-        col = {r: v * inv for r, v in col.items()}
-        combo = {jj: v * inv for jj, v in combo.items()}
-        pivots.append((prow, col, combo))
-    rhs = dict(target)
-    coeffs = [ZERO] * len(cols)
-    for prow, pcol, pcombo in pivots:
-        f = rhs.get(prow)
-        if f:
-            for r, v in pcol.items():
-                nv = rhs.get(r, ZERO) - f * v
-                if nv:
-                    rhs[r] = nv
-                else:
-                    rhs.pop(r, None)
-            for jj, v in pcombo.items():
-                coeffs[jj] = coeffs[jj] + f * v
-    if any(v for v in rhs.values()):
+    tags = [f"~{j}" for j in range(len(cols))]
+    pivots = _eliminate({**col, tag: ONE} for col, tag in zip(cols, tags))
+    if any(prow.startswith("~") for prow, _ in pivots):
+        raise ValueError("columns are linearly dependent")
+    rhs = {r: v for r, v in target.items() if v}
+    _reduce(rhs, pivots)
+    if any(not r.startswith("~") for r in rhs):
         return None
-    return coeffs
+    return [-rhs.get(tag, ZERO) for tag in tags]

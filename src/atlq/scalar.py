@@ -48,6 +48,10 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not by setting slots
+        return (GaussianRational, (self.re, self.im))
+
     @property
     def re(self) -> Fraction:
         return Fraction(self.a, self.d)
@@ -242,6 +246,10 @@ class Combination:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # through the constructor, so an unpickled combination is key-checked too
+        return (type(self), (self.dom, self.cod, self.terms))
 
     @classmethod
     def zero(cls, dom: int, cod: int):

@@ -9,18 +9,38 @@ from atlq import (
     coordinates,
     enumerate_basis,
     ess_equal,
+    extremal,
     f_apply,
     f_inverse,
+    gen_cap,
     gen_d,
     gen_id,
     gen_u,
+    highest_weight,
+    jones_wenzl,
+    lowest_weight,
     phi,
     phi_chain,
+    tensor,
 )
-from atlq.canon import labels_from_matching, matching_from_labels
-from atlq.scalar import HALF, MINUS_ONE, ONE, ZERO
+from atlq.canon import basis_columns, labels_from_matching, matching_from_labels
+from atlq.rep import extremal_matrix, rank_of_columns
+from atlq.scalar import HALF, MINUS_ONE, ONE, TWO, ZERO
 
-from helpers import random_single_diagram
+from helpers import compose_word, random_single_diagram, random_word
+
+
+def _seeded_morphisms(seed: int, count: int) -> list[Morphism]:
+    """Words on 1..4 strands, half of them capped to n -> n-2: dom + cod <= 8."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randrange(1, 5)
+        x = compose_word(random_word(rng, n, 4), n)
+        if n >= 2 and rng.random() < 0.5:
+            x = gen_cap(n, rng.randrange(n - 1)) * x
+        out.append(x)
+    return out
 
 
 def test_label_examples():
@@ -42,12 +62,8 @@ def test_basis_counts():
 
 
 def test_basis_images_independent():
-    from atlq.rep import rank_of_columns
-
-    cols = [
-        phi(Morphism.from_diagram(b)).columns().get("", {})
-        for b in enumerate_basis(4)
-    ]
+    cols = basis_columns(4)
+    assert cols == [phi(Morphism.from_diagram(b)).columns().get("", {}) for b in enumerate_basis(4)]
     assert rank_of_columns(cols) == 6
 
 
@@ -77,6 +93,40 @@ def test_coordinates_of_basis_diagrams():
     for i, b in enumerate(basis):
         coeffs = coordinates(Morphism.from_diagram(b))
         assert coeffs == [ONE if j == i else ZERO for j in range(len(basis))]
+
+
+def test_coordinates_read_off_the_bent_diagram():
+    # in the quotient, bending x gives label-string basis diagrams only, so
+    # the diagram side reads the coordinates off without any elimination
+    named = [extremal(3), extremal(4), jones_wenzl(4), highest_weight(3), lowest_weight(3)]
+    for x in named + _seeded_morphisms(5, 12):
+        flat = f_apply(x)
+        for k in flat.terms:
+            assert matching_from_labels(labels_from_matching(k)) is k
+        basis = enumerate_basis(x.dom + x.cod)
+        assert [flat.terms.get(b, ZERO) for b in basis] == coordinates(x)
+
+
+def test_coordinates_at_zero_strands():
+    assert extremal_matrix(0).rank() == 1
+    assert coordinates(extremal(0)) == [TWO]
+
+
+def test_ess_equal_matches_bent_diagrams():
+    # f_apply(x) == f_apply(y) decides quotient equality without phi
+    pairs = [(gen_d(1, 1) * gen_d(1, 1), gen_id(1).scale(MINUS_ONE))]
+    xs = _seeded_morphisms(13, 60)
+    for x, other in zip(xs, reversed(xs)):
+        n = x.dom
+        # a full turn of the last strand is -1 in the quotient
+        twist = tensor(gen_id(n - 1), gen_d(1, 1) * gen_d(1, 1)).scale(MINUS_ONE)
+        pairs.append((x, x * twist))
+        if (other.dom, other.cod) == (x.dom, x.cod):
+            pairs.append((x, other))
+    verdicts = [ess_equal(x, y) for x, y in pairs]
+    assert verdicts == [f_apply(x) == f_apply(y) for x, y in pairs]
+    assert pairs[0][0] != pairs[0][1]
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 5
 
 
 def test_ess_equal_shape_check():

@@ -1,6 +1,12 @@
 """Annular diagram encoding, composition, and the morphism layer."""
 
+import os
+import pickle
 import random
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +17,7 @@ from atlq import (
     Morphism,
     configure,
     crossing,
+    extremal,
     gen_cap,
     gen_cup,
     gen_d,
@@ -19,6 +26,7 @@ from atlq import (
     iota,
     tensor,
 )
+from atlq.config import get_config
 from atlq.diagram import _POOL, cap_diagram, compose, cup_diagram, make_diagram, u0_diagram
 from atlq.scalar import HALF, MINUS_TWO, ONE
 
@@ -129,6 +137,30 @@ def test_quotient_mode_drops_essential_circles():
     assert gen_cap(2, 0) * wind2 * gen_cup(0, 0) == gen_id(0).scale(MINUS_TWO)
 
 
+def test_configure_is_per_thread():
+    barrier = threading.Barrier(2, timeout=30)
+    seen = {}
+
+    def run(mode):
+        with configure(mode=mode):
+            barrier.wait()
+            closed = gen_cap(2, 0) * gen_d(2, 1) * gen_cup(0, 0)
+            seen[mode] = (get_config().mode, len(closed.terms))
+            barrier.wait()
+
+    threads = [threading.Thread(target=run, args=(mode,)) for mode in ("raw", "quotient")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == {"raw": ("raw", 1), "quotient": ("quotient", 0)}
+    assert get_config().mode == "quotient"
+    # the default is shared by every thread, so it cannot be changed in place
+    with pytest.raises(AttributeError):
+        get_config().mode = "raw"
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         gen_u(3, 1) * gen_u(2, 1)
@@ -206,3 +238,27 @@ def test_diagram_interning():
     a = only_diagram(gen_u(3, 1) * gen_u(3, 2))
     b = only_diagram(gen_u(3, 1) * gen_u(3, 2))
     assert a is b
+
+
+def test_pickled_diagrams_are_interned_afresh():
+    x = extremal(3)
+    y = pickle.loads(pickle.dumps(x))
+    assert y == x and {id(d) for d in y.terms} == {id(d) for d in x.terms}
+    # str hashes are salted per process: load under another salt
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    dump = "import pickle, sys; from atlq import extremal; sys.stdout.buffer.write(pickle.dumps(extremal(3)))"
+    load = (
+        "import pickle, sys; from atlq import extremal; x = pickle.loads(sys.stdin.buffer.read()); "
+        "want = extremal(3); print(x == want, {id(d) for d in x.terms} == {id(d) for d in want.terms})"
+    )
+    data = subprocess.run(
+        [sys.executable, "-c", dump], env={**env, "PYTHONHASHSEED": "1"},
+        capture_output=True, check=True, timeout=120,
+    ).stdout
+    done = subprocess.run(
+        [sys.executable, "-c", load], env={**env, "PYTHONHASHSEED": "2"},
+        input=data, capture_output=True, check=True, timeout=120,
+    )
+    assert done.stdout.decode().split() == ["True", "True"]

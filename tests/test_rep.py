@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atlq import (
     GaussianRational,
@@ -17,7 +19,7 @@ from atlq import (
     phi,
 )
 from atlq.rep import phi_diagram, rank_of_columns, sign_strings, solve_columns
-from atlq.scalar import I, MINUS_ONE, ONE, TWO
+from atlq.scalar import I, MINUS_ONE, ONE, TWO, ZERO
 
 from helpers import compose_word, random_word
 
@@ -152,6 +154,50 @@ def test_solve_columns_rejects_dependent_family():
     one = GaussianRational(1)
     with pytest.raises(ValueError):
         solve_columns([{"a": one}, {"a": one + one}], {"a": one})
+    # the one row of a 0-strand weight vector is the empty string
+    with pytest.raises(ValueError):
+        solve_columns([{"": one}, {"": TWO}], {"": one})
+
+
+small = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+gaussians = st.builds(GaussianRational, small, small)
+
+
+@st.composite
+def independent_family(draw):
+    """Sparse columns over the sign strings of 0..3 strands, independent by construction.
+
+    Column j is nonzero at its own row p_j and zero at every other p_i, so
+    the family restricted to the p rows is diagonal; then random column
+    operations col_j += a * col_i mix it without losing independence.
+    """
+    rows = sign_strings(draw(st.integers(0, 3)))
+    own = draw(st.lists(st.sampled_from(rows), unique=True, max_size=len(rows)))
+    free = [r for r in rows if r not in own]
+    cols = []
+    for p in own:
+        col = {p: draw(gaussians.filter(bool))}
+        for r in draw(st.lists(st.sampled_from(free), unique=True)) if free else ():
+            col[r] = draw(gaussians)
+        cols.append(col)
+    for _ in range(draw(st.integers(0, 6)) if len(cols) > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, len(cols) - 1), min_size=2, max_size=2, unique=True))
+        a = draw(gaussians)
+        cols[j] = {r: cols[j].get(r, ZERO) + a * cols[i].get(r, ZERO) for r in {*cols[i], *cols[j]}}
+    return cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(independent_family(), st.data())
+def test_solve_recovers_random_coefficients(cols, data):
+    coeffs = [data.draw(gaussians) for _ in cols]
+    target: dict = {}
+    for c, col in zip(coeffs, cols):
+        for r, v in col.items():
+            target[r] = target.get(r, ZERO) + c * v
+    assert solve_columns(cols, target) == coeffs
+    assert rank_of_columns(cols) == len(cols)
+    assert rank_of_columns(cols + [target]) == len(cols)
 
 
 # -- serialization -----------------------------------------------------------

@@ -1,5 +1,7 @@
 """Exact Gaussian-rational arithmetic."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -186,3 +188,20 @@ def test_combination_core(cls, key, misfit):
     other = WeightMap if cls is Morphism else Morphism
     assert cls.zero(2, 2) != other.zero(2, 2)
     assert x != other(2, 2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        HALF,
+        GaussianRational(Fraction(-3, 4), 5),
+        Morphism(2, 2, {u_diagram(2, 1): HALF, id_diagram(2): I}),
+        WeightMap(2, 2, {("+-", "-+"): HALF, ("++", "++"): MINUS_ONE}),
+    ],
+    ids=["GaussianRational", "complex", "Morphism", "WeightMap"],
+)
+def test_pickle_and_copy_round_trip(value):
+    # both classes block assignment, so these must rebuild through the constructor
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value)

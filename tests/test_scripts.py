@@ -14,7 +14,6 @@ ROOT = Path(__file__).resolve().parents[1]
     "script, args",
     [
         ("decategorify.py", ["--max", "2"]),
-        ("projector_growth.py", ["--max", "3"]),
         ("render_gallery.py", ["--out", "{tmp}"]),
         ("render_gallery.py", ["--tikz", "--out", "{tmp}"]),
     ],
