@@ -17,6 +17,12 @@ ROOT = Path(__file__).resolve().parents[1]
         ("render_gallery.py", ["--out", "{tmp}"]),
         ("render_gallery.py", ["--tikz", "--out", "{tmp}"]),
     ],
+    # Fixed ids, so each case keeps its name when an entry is added or dropped.
+    ids=[
+        "decategorify.py-args0",
+        "render_gallery.py-args2",
+        "render_gallery.py-args3",
+    ],
 )
 def test_script_runs(script, args, tmp_path):
     args = [a.format(tmp=tmp_path) for a in args]
