@@ -11,7 +11,7 @@ import argparse
 
 from atlq import cheb_l, poly_str
 from atlq.cheb import poly_add, poly_mul
-from atlq.projectors import phi_extremal, phi_split, phi_weight_tensor
+from atlq.projectors import WEIGHTS, phi_extremal
 
 
 def main() -> None:
@@ -22,9 +22,9 @@ def main() -> None:
     for m in range(1, args.max + 1):
         for n in range(1, m + 1):
             ranks = (
-                phi_weight_tensor(m, n).rank(),
+                WEIGHTS.weight_tensor(m, n).rank(),
                 phi_extremal(m + n).rank(),
-                phi_split(m, n).rank(),
+                WEIGHTS.split(m, n).rank(),
             )
             lhs = poly_mul(cheb_l(m), cheb_l(n))
             rhs = poly_add(cheb_l(m + n), cheb_l(m - n))

@@ -95,9 +95,6 @@ def load_operand(text: str) -> Morphism:
         x = Morphism.from_json_obj(json.loads(path.read_text()))
     except (ValueError, KeyError, TypeError) as exc:
         _usage_error(f"{text}: not a morphism JSON file ({type(exc).__name__}: {exc})")
-    limit = get_config().max_strands
-    if min(x.dom, x.cod) < 0 or max(x.dom, x.cod) > limit:
-        _usage_error(f"{text}: shape {x.dom}->{x.cod} is outside 0..{limit} strands")
     if (x.dom + x.cod) % 2:
         _usage_error(f"{text}: shape {x.dom}->{x.cod} has an odd number of endpoints")
     return x

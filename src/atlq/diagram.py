@@ -518,6 +518,10 @@ class Morphism(Combination):
     @classmethod
     def from_json_obj(cls, obj: dict) -> Morphism:
         dom, cod = int(obj["dom"]), int(obj["cod"])
+        # guard the shape before any term is read: validating a term walks
+        # its whole claimed boundary
+        _guard(dom)
+        _guard(cod)
         return cls._sum(dom, cod, (
             (diagram_from_json_obj(t["diagram"], dom, cod), GaussianRational.parse(t["coeff"]))
             for t in obj["terms"]

@@ -21,7 +21,8 @@ same weight action; the test suite checks the recursion against this for
 small m directly.  The highest/lowest refinements T_m = H_m + L_m split
 off the all-plus and all-minus projectors separately; they need the
 rotation's fourth root of unity, so their coefficients live in Q(i)
-proper.
+proper.  T_m and H_m share the one overlap product, from their own
+two-strand bases, and L_m is the complex conjugate of H_m.
 
 The constructions of the product formula (T_m (x) T_n, its complement
 e_{m,n} and the isomorphisms splitting e_{m,n}) are each written once,
@@ -40,10 +41,7 @@ from .config import MODE_QUOTIENT, configure
 from .diagram import Morphism, _guard, crossing, gen_cap, gen_cup, gen_d, gen_id, gen_u
 from .planar import iota, iota_prime, nested_caps, nested_cups, partial_trace, tensor
 from .rep import WeightMap, phi
-from .scalar import GaussianRational, HALF, I, MINUS_I
-
-_HALF_I = GaussianRational(0, Fraction(1, 2))
-_MINUS_HALF_I = GaussianRational(0, Fraction(-1, 2))
+from .scalar import HALF, I, MINUS_I
 
 
 @dataclass(frozen=True)
@@ -112,16 +110,23 @@ def extremal(m: int) -> Morphism:
     with configure(mode=MODE_QUOTIENT):
         if m == 2:
             return gen_id(2) + gen_u(2, 1).scale(HALF) + gen_u(2, 0).scale(HALF)
-        return iota(extremal(m - 1)) * _shifted_t2(m - 2)
+        return iota(extremal(m - 1)) * _shifted(extremal, m - 2)
 
 
 @lru_cache(maxsize=None)
-def _shifted_t2(k: int) -> Morphism:
-    """id_k (x) T_2, the building block of the ascending product."""
+def _shifted(family, k: int) -> Morphism:
+    """id_k (x) P_2 with P_2 = family(2), the right factor of the overlap product.
+
+    It is built one iota_prime at a time and grows with k: id_k (x) T_2
+    has 3, 6, 14, 35 and 90 terms for k = 0..4.  Each new strand crosses
+    every arc of the U_0 term that wraps the seam, and each crossing
+    resolves as id + U into two diagrams; T_2 (x) id_k, built by iota,
+    has the same counts.
+    """
     with configure(mode=MODE_QUOTIENT):
         if k == 0:
-            return extremal(2)
-        return iota_prime(_shifted_t2(k - 1))
+            return family(2)
+        return iota_prime(_shifted(family, k - 1))
 
 
 def extremal_by_recursion(m: int) -> Morphism:
@@ -142,47 +147,40 @@ def extremal_by_recursion(m: int) -> Morphism:
 
 @_guarded_cache(lambda m: m)
 def highest_weight(m: int) -> Morphism:
-    """Projection onto the all-plus weight string, inside T_m."""
+    """Projection onto the all-plus weight string, inside T_m.
+
+    >>> print(highest_weight(1))
+    1->1: (1/2) {I0-O0} + (-1/2i) {I0-L0, O0-R0}
+    """
     if m < 1:
         raise ValueError("highest weight projectors start at one strand")
     with configure(mode=MODE_QUOTIENT):
         if m == 1:
-            return gen_id(1).scale(HALF) + gen_d(1, 1).scale(_MINUS_HALF_I)
+            return gen_id(1).scale(HALF) + gen_d(1, 1).scale(HALF * MINUS_I)
         if m == 2:
-            return _weight_base(I)
-        return iota(highest_weight(m - 1)) * _shifted_weight(m - 2, True)
+            dinv, u1 = gen_d(2, -1), gen_u(2, 1)
+            out = (gen_id(2) + dinv.scale(I)).scale(2) + u1 + gen_u(2, 0)
+            out = out + (dinv * u1).scale(I) + (u1 * dinv).scale(I)
+            return out.scale(Fraction(1, 4))
+        return iota(highest_weight(m - 1)) * _shifted(highest_weight, m - 2)
 
 
 @_guarded_cache(lambda m: m)
 def lowest_weight(m: int) -> Morphism:
-    """Projection onto the all-minus weight string, inside T_m."""
+    """Projection onto the all-minus weight string, inside T_m.
+
+    L_m is the complex conjugate of H_m, coefficient by coefficient: the
+    build of H_m only adds rational structure constants (-2 per circle, 1
+    per crossing term and rotation) to the coefficients of H_1 and H_2,
+    whose conjugates are L_1 and L_2.
+
+    >>> print(lowest_weight(1))
+    1->1: (1/2) {I0-O0} + (1/2i) {I0-L0, O0-R0}
+    """
     if m < 1:
         raise ValueError("lowest weight projectors start at one strand")
-    with configure(mode=MODE_QUOTIENT):
-        if m == 1:
-            return gen_id(1).scale(HALF) + gen_d(1, 1).scale(_HALF_I)
-        if m == 2:
-            return _weight_base(MINUS_I)
-        return iota(lowest_weight(m - 1)) * _shifted_weight(m - 2, False)
-
-
-def _weight_base(unit: GaussianRational) -> Morphism:
-    """The two-strand weight projector with rotation phase +-i."""
-    dinv = gen_d(2, -1)
-    u1 = gen_u(2, 1)
-    out = gen_id(2).scale(2) + dinv.scale(unit * GaussianRational(2))
-    out = out + u1 + gen_u(2, 0)
-    out = out + (dinv * u1).scale(unit) + (u1 * dinv).scale(unit)
-    return out.scale(Fraction(1, 4))
-
-
-@lru_cache(maxsize=None)
-def _shifted_weight(k: int, high: bool) -> Morphism:
-    base = highest_weight(2) if high else lowest_weight(2)
-    with configure(mode=MODE_QUOTIENT):
-        for _ in range(k):
-            base = iota_prime(base)
-        return base
+    high = highest_weight(m)
+    return Morphism(m, m, {d: c.conjugate() for d, c in high.terms.items()})
 
 
 # -- one formula, two evaluators ---------------------------------------------
@@ -362,29 +360,7 @@ def kariso_contract(m: int, n: int) -> Morphism:
     return _on_diagrams(m + n, _DIAGRAMS.kariso_contract, m, n)
 
 
-@_guarded_cache(lambda m, n: m)
-def embedded_extremal(m: int, n: int) -> Morphism:
-    """iota^(m-n)(T_n), the lower projector on the first n of m strands."""
-    if not 1 <= n <= m:
-        raise ValueError("need 1 <= n <= m")
-    with configure(mode=MODE_QUOTIENT):
-        x = extremal(n)
-        for _ in range(m - n):
-            x = iota(x)
-        return x
-
-
 # -- structural checks -------------------------------------------------------
-#
-# One rule decides every identity.  Identities claimed on the nose
-# (presentation, Reidemeister, well-definedness, Jones-Wenzl, partial
-# trace) compare expanded diagrams.  Identities of the extremal projectors
-# hold only in the essential-circle quotient, where phi is faithful, so
-# they compare weight maps built from the identity's named leaves:
-# phi_extremal(k) for each projector and phi of each small generator,
-# combined by matrix products and Kronecker products (phi is a strict
-# monoidal functor).  The composite diagram is never expanded, so no
-# check depends on how many terms its product would pair.
 #
 # The one size threshold left is _EXPAND_LIMIT in phi_extremal.  It does
 # not choose a route for a check; it says which T_m are built as
@@ -410,16 +386,6 @@ def phi_extremal(m: int) -> WeightMap:
         return phi(extremal(m))
     lifted = phi_extremal(m - 1).tensor(WeightMap.identity(1))
     return lifted * WeightMap.identity(m - 2).tensor(phi_extremal(2))
-
-
-def phi_weight_tensor(m: int, n: int) -> WeightMap:
-    """The weight map of T_m (x) T_n."""
-    return WEIGHTS.weight_tensor(m, n)
-
-
-def phi_split(m: int, n: int) -> WeightMap:
-    """The weight map of e_{m,n}."""
-    return WEIGHTS.split(m, n)
 
 
 def iso_diff_maps(m: int, n: int) -> tuple[WeightMap, WeightMap]:
@@ -466,7 +432,7 @@ def linked_check(m: int, n: int) -> bool:
     """(T_m (x) T_n) s_m (T_m (x) T_n) equals T_{m+n} in the quotient."""
     if m + n < 3 or m < 1 or n < 1:
         raise ValueError("need m + n >= 3")
-    pw = phi_weight_tensor(m, n)
+    pw = WEIGHTS.weight_tensor(m, n)
     return pw * phi(crossing(m + n, m)) * pw == phi_extremal(m + n)
 
 
@@ -488,7 +454,7 @@ def overlap_check(m: int, n: int, r: int) -> bool:
 
 def nested_form_check(m: int, n: int, r: int) -> bool:
     """The depth-r turnback form of e_{m,n} agrees with the U_m form."""
-    return WEIGHTS.split_nested(m, n, r) == phi_split(m, n)
+    return WEIGHTS.split_nested(m, n, r) == WEIGHTS.split(m, n)
 
 
 def jw_pair(m: int) -> IsoPair:

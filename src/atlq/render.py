@@ -98,7 +98,7 @@ def _svg_panel(
         )
     if not empty:
         pull = min(0.45 * min(box_w, box_h), 60.0)
-        for a, b in sorted(d.arcs, key=lambda arc: (point_key(arc[0]), point_key(arc[1]))):
+        for a, b in d.arcs:
             xa, ya, nxa, nya = _point_xy(d, a, box_w, box_h)
             xb, yb, nxb, nyb = _point_xy(d, b, box_w, box_h)
             out.append(
@@ -147,7 +147,7 @@ def render_tikz(m: Morphism) -> str:
         f = lambda v: f"{v:.3f}"  # noqa: E731
         out.append(
             f"\\node[anchor=south] at ({f(sx(box_w / 2))},{f(sy(0.0) + 0.15)})"
-            f" {{${_tex(caption)}$}};"
+            f" {{${caption}$}};"
         )
         out.append(
             f"\\draw[gray] ({f(sx(0.0))},{f(sy(0.0))}) rectangle"
@@ -163,9 +163,7 @@ def render_tikz(m: Morphism) -> str:
         )
         if coeff is not None:
             pull = min(0.45 * min(box_w, box_h), 60.0) / SLOT
-            for a, b in sorted(
-                diag.arcs, key=lambda arc: (point_key(arc[0]), point_key(arc[1]))
-            ):
+            for a, b in diag.arcs:
                 xa, ya, nxa, nya = _point_xy(diag, a, box_w, box_h)
                 xb, yb, nxb, nyb = _point_xy(diag, b, box_w, box_h)
                 out.append(
@@ -186,10 +184,6 @@ def render_tikz(m: Morphism) -> str:
         x_off += box_w + 2 * PAD
     out.append("\\end{tikzpicture}")
     return "\n".join(out) + "\n"
-
-
-def _tex(caption: str) -> str:
-    return caption
 
 
 def render_ascii(m: Morphism) -> str:
@@ -213,7 +207,6 @@ def _ascii_panel(coeff, d: AnnularDiagram) -> str:
     if d.seam == 0:
         lines.append("|" + " " * (width + 2) + "|")
     lines.append("+-" + bot.center(width) + "-+")
-    arcs = sorted(d.arcs, key=lambda arc: (point_key(arc[0]), point_key(arc[1])))
-    for a, b in arcs:
+    for a, b in d.arcs:
         lines.append(f"  {a[0]}{a[1]} - {b[0]}{b[1]}")
     return "\n".join(lines) + "\n"

@@ -50,8 +50,6 @@ from .projectors import (
     nested_form_check,
     overlap_check,
     phi_extremal,
-    phi_split,
-    phi_weight_tensor,
     verify_properties,
 )
 from .rep import WeightMap, extremal_matrix, phi, rank_of_columns
@@ -299,9 +297,9 @@ def suite_product(limit: int | None = None) -> list[Check]:
             _check(
                 checks,
                 f"(m,n)=({m},{n}): weight ranks add up (4 = 2 + 2)",
-                lambda m=m, n=n: phi_weight_tensor(m, n).rank() == 4
+                lambda m=m, n=n: WEIGHTS.weight_tensor(m, n).rank() == 4
                 and phi_extremal(m + n).rank() == 2
-                and phi_split(m, n).rank() == 2,
+                and WEIGHTS.split(m, n).rank() == 2,
             )
     for m in range(2, limit + 2):
         _check(
@@ -321,7 +319,7 @@ def _cell(checks: list[Check], m: int, n: int) -> None:
     )
 
     def idem_orth():
-        pe, big = phi_split(m, n), phi_extremal(m + n)
+        pe, big = WEIGHTS.split(m, n), phi_extremal(m + n)
         return pe * pe == pe and (pe * big).is_zero() and (big * pe).is_zero()
 
     _check(
@@ -340,12 +338,12 @@ def _cell(checks: list[Check], m: int, n: int) -> None:
 
 
 def _decomposes(m: int, n: int) -> bool:
-    return phi_weight_tensor(m, n) == phi_extremal(m + n) + phi_split(m, n)
+    return WEIGHTS.weight_tensor(m, n) == phi_extremal(m + n) + WEIGHTS.split(m, n)
 
 
 def _splits_off(m: int, n: int) -> bool:
     pf, pg = iso_diff_maps(m, n)
-    return pg * pf == phi_extremal(m - n) and pf * pg == phi_split(m, n)
+    return pg * pf == phi_extremal(m - n) and pf * pg == WEIGHTS.split(m, n)
 
 
 def _iso_equal_ok(m: int) -> bool:
@@ -355,7 +353,7 @@ def _iso_equal_ok(m: int) -> bool:
         and pair2.bwd * pair2.fwd == pair2.tgt_idem
         and (pair1.bwd * pair2.fwd).is_zero()
         and (pair2.bwd * pair1.fwd).is_zero()
-        and pair1.src_idem + pair2.src_idem == phi_split(m, m)
+        and pair1.src_idem + pair2.src_idem == WEIGHTS.split(m, m)
     )
 
 

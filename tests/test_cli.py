@@ -157,6 +157,10 @@ _ID_1 = {"seam": 0, "ess": 0, "arcs": [["I0", "O0"]]}
         (["--max-strands", "3", "eval", "id_2", "id_2", "tensor"], {}),
         (["--max-strands", "3", "eval", "u_2_1", "coords"], {}),
         (["--max-strands", "3", "eval", "d_3", "ptrace"], {}),
+        (["--max-strands", "3", "eval", "wide_term.json", "phi"],
+         {"wide_term.json": {"dom": 10**6, "cod": 0,
+                             "terms": [{"diagram": {"seam": 0, "ess": 0, "arcs": [["I0", "I1"]]},
+                                        "coeff": "1"}]}}),
     ],
 )
 def test_bad_input_is_a_one_line_error(argv, files, tmp_path, monkeypatch, capsys):

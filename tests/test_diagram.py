@@ -234,6 +234,16 @@ def test_rejected_json_diagram_stays_out_of_the_pool():
     assert len(_POOL) == before
 
 
+def test_json_shape_is_guarded_before_any_term_is_read():
+    # one short arc on a boundary of a million points: validating the term
+    # first would cost memory in proportion to the claimed shape
+    arc = {"seam": 0, "ess": 0, "arcs": [["I0", "I1"]]}
+    wide = {"dom": 10**6, "cod": 0, "terms": [{"coeff": "1", "diagram": arc}]}
+    with configure(max_strands=3):
+        with pytest.raises(ValueError, match="exceeds the configured limit"):
+            Morphism.from_json_obj(wide)
+
+
 def test_diagram_interning():
     a = only_diagram(gen_u(3, 1) * gen_u(3, 2))
     b = only_diagram(gen_u(3, 1) * gen_u(3, 2))

@@ -1,5 +1,6 @@
 """Jones-Wenzl and extremal weight projectors, splittings, isomorphisms."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -35,13 +36,8 @@ from atlq import (
     verify_properties,
     weight_tensor,
 )
-from atlq.projectors import (
-    WEIGHTS,
-    embedded_extremal,
-    phi_extremal,
-    phi_split,
-    phi_weight_tensor,
-)
+from atlq.cli import PROJECTOR_KINDS
+from atlq.projectors import WEIGHTS, phi_extremal
 from atlq.scalar import HALF, I, ONE
 
 
@@ -141,9 +137,7 @@ def test_extremal_rotation_invariance():
 
 def test_extremal_absorbs_embedded_projector():
     t = extremal(3)
-    emb = embedded_extremal(3, 2)
-    assert emb == iota(extremal(2))
-    assert ess_equal(t * emb, t)
+    assert ess_equal(t * iota(extremal(2)), t)
 
 
 # -- splitting idempotents and isomorphisms ----------------------------------
@@ -164,13 +158,13 @@ def test_tensor_decomposition():
         w, e = weight_tensor(m, n), split_idempotent(m, n)
         assert ess_equal(w, extremal(m + n) + e)
         # each diagram constructor against its form on leaf weight maps
-        assert phi(w) == phi_weight_tensor(m, n)
-        assert phi(e) == phi_split(m, n)
+        assert phi(w) == WEIGHTS.weight_tensor(m, n)
+        assert phi(e) == WEIGHTS.split(m, n)
         assert phi(kariso_contract(m, n)) == WEIGHTS.kariso_contract(m, n)
         for r in range(1, min(n, m - 1) + 1):
             nested = split_idempotent_nested(m, n, r)
             assert phi(nested) == WEIGHTS.split_nested(m, n, r)
-        ps = phi_split(m, n)
+        ps = WEIGHTS.split(m, n)
         assert ps * ps == ps
         assert (ps * phi_extremal(m + n)).is_zero()
         assert ps.rank() == 2
@@ -198,7 +192,7 @@ def test_iso_equal_contracts():
     # cross contracts vanish and the summands recover the idempotent
     assert phi(p1.bwd * p2.fwd).is_zero()
     assert phi(p2.bwd * p1.fwd).is_zero()
-    assert phi(p1.src_idem + p2.src_idem) == phi_split(1, 1)
+    assert phi(p1.src_idem + p2.src_idem) == WEIGHTS.split(1, 1)
     for m in (1, 2, 3):
         pairs, maps = iso_equal(m), WEIGHTS.iso_equal(m)
         for pair, pmap in zip(pairs, maps):
@@ -221,7 +215,7 @@ def test_product_shape_checks():
     assert nested_form_check(2, 2, 1)
     e = split_idempotent_nested(2, 1, 1)
     assert (e.dom, e.cod) == (3, 3)
-    assert phi(e) == phi_split(2, 1)
+    assert phi(e) == WEIGHTS.split(2, 1)
 
 
 @pytest.mark.parametrize(
@@ -232,7 +226,7 @@ def test_product_shape_checks():
         lambda: highest_weight(4),
         lambda: lowest_weight(4),
         lambda: weight_tensor(2, 2),
-        lambda: embedded_extremal(4, 2),
+        lambda: split_idempotent(2, 2),
         lambda: phi_extremal(4),
         lambda: kariso_contract(2, 2),
         lambda: iso_equal(2),
@@ -272,3 +266,26 @@ def test_weight_projectors_sum_to_extremal():
 def test_weight_projectors_swap_under_sign_flip():
     for m in (2, 3):
         assert phi(highest_weight(m)).swap_signs() == phi(lowest_weight(m))
+
+
+# -- frozen output -----------------------------------------------------------
+
+# sha256 of x.dumps() + "\n" + phi(x).dumps() + "\n" over the sizes from the
+# kind's least one to 5: any change to a projector's diagrams, coefficients,
+# term order or weight map shows here
+FROZEN_DIGESTS = {
+    "extremal": "422d5a6a01cf45e13ea53a557e52525d504bdf805b636f8fcbc0f9f45fcd53ef",
+    "jw": "93ae9f191e8f25324216a71fae1319ad1d3c3c44d3657dfcf320721055535265",
+    "highest": "b2529ec124b24a1726f843694ffa2974c6ebfd2483d9f8384b92e6ae8743d646",
+    "lowest": "516499e54cd83262f4588db7a16cd7f60d23802ed957529e425e51070d0431b2",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FROZEN_DIGESTS))
+def test_projector_output_is_frozen(kind):
+    build, least = PROJECTOR_KINDS[kind]
+    digest = hashlib.sha256()
+    for m in range(least, 6):
+        x = build(m)
+        digest.update((x.dumps() + "\n" + phi(x).dumps() + "\n").encode())
+    assert digest.hexdigest() == FROZEN_DIGESTS[kind]
