@@ -38,6 +38,11 @@ adds composition and the tensor product.  Composition stacks one annulus
 inside the other, traces strands through the middle circle, counts the
 circles created, and reduces the combined seam.  In quotient mode (the default) terms that acquire an
 essential circle are dropped.
+
+`compose` works on int codes, not point tuples: the points of the glued
+picture are numbered in blocks I, O, L, R, then the middle points, each
+block in index order.  That is `point_key` order, and dropping seam
+levels keeps it, so the composite's arcs come out already sorted.
 """
 
 from __future__ import annotations
@@ -214,91 +219,51 @@ def diagram_from_json_obj(obj: dict, dom: int, cod: int) -> AnnularDiagram:
     return _intern(d.dom, d.cod, d.seam, d.ess, d.arcs)
 
 
-# -- seam reduction -------------------------------------------------------
+# -- composition ----------------------------------------------------------
+
+# point tuples by kind and index, grown on demand and shared by composites
+_POINTS: dict[str, list[Point]] = {"I": [], "O": [], "L": [], "R": []}
 
 
-def _renumber_levels(partner: dict[Point, Point], keep: list[int]) -> None:
-    remap = {t: s for s, t in enumerate(keep)}
-    items = list(partner.items())
-    partner.clear()
-    for p, q in items:
-        if p[0] in ("L", "R"):
-            p = (p[0], remap[p[1]])
-        if q[0] in ("L", "R"):
-            q = (q[0], remap[q[1]])
-        partner[p] = q
+def _points(kind: str, n: int) -> list[Point]:
+    pts = _POINTS[kind]
+    while len(pts) < n:
+        pts.append((kind, len(pts)))
+    return pts
 
 
-def _reduce_seam(partner: dict[Point, Point], k: int, ess: int):
-    """Make the matching seam-minimal in place.
+def _seam_step(partner: list[int], levels: list[int], lo: int, ro: int):
+    """Make one seam reduction in place on compose's int codes.
 
-    Returns (seam, inessential circles removed, essential circles total).
-    The caller's `partner` dict is rewritten.  Levels are dropped lazily:
-    adjacency means consecutive in the list of surviving levels, and the
-    final renumbering happens once.
+    Returns the (essential, inessential) circles it closed, or None when
+    the matching is already seam-minimal.  Levels are dropped lazily:
+    adjacency means consecutive in the list of surviving levels.
     """
-    iness = 0
-    levels = list(range(k))
-    changed = True
-    while changed and levels:
-        changed = False
-        # a same-level arc L_t - R_t closes into a curve crossing the seam
-        # once: an essential circle
-        for t in levels:
-            if partner.get(("L", t)) == ("R", t):
-                del partner[("L", t)]
-                del partner[("R", t)]
-                ess += 1
-                levels.remove(t)
-                changed = True
-                break
-        if changed:
-            continue
-        # an arc along one edge between adjacent surviving levels can be
-        # pulled off the seam, splicing whatever meets the opposite edge
-        for idx in range(len(levels) - 1):
-            t, t1 = levels[idx], levels[idx + 1]
-            for side in ("L", "R"):
-                if partner.get((side, t)) != (side, t1):
-                    continue
-                other = "R" if side == "L" else "L"
-                if partner[(other, t)] == (other, t1):
+    # a same-level arc L_t - R_t closes into a curve crossing the seam
+    # once: an essential circle
+    for t in levels:
+        if partner[lo + t] == ro + t:
+            partner[lo + t] = partner[ro + t] = -1
+            levels.remove(t)
+            return 1, 0
+    # an arc along one edge between adjacent surviving levels can be
+    # pulled off the seam, splicing whatever meets the opposite edge
+    for idx in range(len(levels) - 1):
+        t, t1 = levels[idx], levels[idx + 1]
+        for side, opp in ((lo, ro), (ro, lo)):
+            if partner[side + t] == side + t1:
+                a, b = partner[opp + t], partner[opp + t1]
+                partner[side + t] = partner[side + t1] = partner[opp + t] = partner[opp + t1] = -1
+                del levels[idx : idx + 2]
+                if a == opp + t1:
                     # both edges carry the same hairpin: together they close
                     # into a loop crossing the seam twice with opposite
                     # orientations, an inessential circle
-                    iness += 1
-                    for pt in ((side, t), (side, t1), (other, t), (other, t1)):
-                        del partner[pt]
-                else:
-                    a = partner[(other, t)]
-                    b = partner[(other, t1)]
-                    for pt in ((side, t), (side, t1), (other, t), (other, t1)):
-                        del partner[pt]
-                    partner[a] = b
-                    partner[b] = a
-                del levels[idx : idx + 2]
-                changed = True
-                break
-            if changed:
-                break
-    if levels != list(range(len(levels))):
-        _renumber_levels(partner, levels)
-    return len(levels), iness, ess
-
-
-def _partner_to_arcs(partner: dict[Point, Point]) -> tuple[Arc, ...]:
-    """Arcs in canonical sorted order (endpoints ordered, arcs sorted)."""
-    keyed = []
-    for p, q in partner.items():
-        kp = (_KIND_ORDER[p[0]], p[1])
-        kq = (_KIND_ORDER[q[0]], q[1])
-        if kp < kq:
-            keyed.append((kp, kq, (p, q)))
-    keyed.sort()
-    return tuple(a for _, _, a in keyed)
-
-
-# -- composition ----------------------------------------------------------
+                    return 0, 1
+                partner[a] = b
+                partner[b] = a
+                return 0, 0
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -308,72 +273,82 @@ def compose(inner: AnnularDiagram, outer: AnnularDiagram):
     Returns (diagram, inessential, essential): the canonical composite,
     the number of inessential circles produced (factors of -2), and the
     total essential circle count carried by the composite.
+
+    Every point of the glued picture is an int code, in blocks: I_j -> j,
+    O_j -> m + j, L_t -> m + n + t, R_t -> m + n + k + t, and the middle
+    points M_j (inner O_j = outer I_j) last, where m = inner.dom,
+    n = outer.cod and k = inner.seam + outer.seam (outer levels sit above
+    the inner ones).  The blocks follow `point_key` order, and so does
+    the index order inside each block; dropping seam levels keeps the
+    order of those that survive.  So the arcs (c, partner[c]) with
+    c < partner[c], read in increasing c, are already the canonical sorted
+    arc tuple.
     """
     if inner.cod != outer.dom:
         raise ValueError(
             f"cannot glue: inner codomain {inner.cod} != outer domain {outer.dom}"
         )
-    ka = inner.seam
+    m, n, ka, mid = inner.dom, outer.cod, inner.seam, inner.cod
+    k = ka + outer.seam
+    lo = m + n
+    ro = lo + k
+    mo = ro + k  # the first middle point; codes below it are on the boundary
 
-    pa: dict[Point, Point] = {}
-    pb: dict[Point, Point] = {}
-    for p, q in inner.arcs:
-        if p[0] == "O":
-            p = ("M", p[1])
-        if q[0] == "O":
-            q = ("M", q[1])
-        pa[p] = q
-        pa[q] = p
-    for p, q in outer.arcs:
-        kind = p[0]
-        if kind == "I":
-            p = ("M", p[1])
-        elif kind == "L" or kind == "R":
-            p = (kind, ka + p[1])
-        kind = q[0]
-        if kind == "I":
-            q = ("M", q[1])
-        elif kind == "L" or kind == "R":
-            q = (kind, ka + q[1])
-        pb[p] = q
-        pb[q] = p
+    pa = [-1] * (mo + mid)
+    pb = [-1] * (mo + mid)
+    for arcs, part, off in (
+        (inner.arcs, pa, {"I": 0, "O": mo, "L": lo, "R": ro}),
+        (outer.arcs, pb, {"I": mo, "O": m, "L": lo + ka, "R": ro + ka}),
+    ):
+        for (pk, pj), (qk, qj) in arcs:
+            p = off[pk] + pj
+            q = off[qk] + qj
+            part[p] = q
+            part[q] = p
 
-    partner: dict[Point, Point] = {}
-    seen_mid: set[Point] = set()
-    for start in list(pa) + list(pb):
-        if start[0] == "M" or start in partner:
+    # follow each strand from a boundary point across the middle circle,
+    # alternating between the two diagrams, to its other boundary end
+    partner = [-1] * mo
+    seen = [False] * mid
+    for start in range(mo):
+        if partner[start] >= 0:
             continue
-        cur = start
-        use = pa if start in pa else pb
-        while True:
-            nxt = use[cur]
-            if nxt[0] != "M":
-                partner[start] = nxt
-                partner[nxt] = start
-                break
-            seen_mid.add(nxt)
-            cur = nxt
-            use = pb if use is pa else pa
+        use, other = (pa, pb) if pa[start] >= 0 else (pb, pa)
+        cur = use[start]
+        while cur >= mo:
+            seen[cur - mo] = True
+            use, other = other, use
+            cur = use[cur]
+        partner[start] = cur
+        partner[cur] = start
 
     iness = 0
-    for j in range(inner.cod):
-        q = ("M", j)
-        if q in seen_mid:
+    for j in range(mid):
+        if seen[j]:
             continue
         # a component with no boundary endpoints: a closed loop confined
         # between the two seams, which cannot wind, hence inessential
-        cur, use = q, pa
+        q = cur = mo + j
         while True:
-            seen_mid.add(cur)
-            cur = use[cur]
-            use = pb if use is pa else pa
-            if cur == q and use is pa:
+            nxt = pa[cur]
+            seen[cur - mo] = seen[nxt - mo] = True
+            cur = pb[nxt]
+            if cur == q:
                 break
         iness += 1
 
-    k, iness2, ess = _reduce_seam(partner, ka + outer.seam, inner.ess + outer.ess)
-    diagram = _intern(inner.dom, outer.cod, k, ess, _partner_to_arcs(partner))
-    return diagram, iness + iness2, ess
+    ess = inner.ess + outer.ess
+    levels = list(range(k))
+    while step := _seam_step(partner, levels, lo, ro):
+        ess += step[0]
+        iness += step[1]
+
+    ls, rs = _points("L", len(levels)), _points("R", len(levels))
+    names = _points("I", m)[:m] + _points("O", n)[:n] + [None] * (2 * k)
+    for s, t in enumerate(levels):
+        names[lo + t], names[ro + t] = ls[s], rs[s]
+    arcs = tuple([(names[c], names[p]) for c, p in enumerate(partner) if c < p])
+    return _intern(m, n, len(levels), ess, arcs), iness, ess
 
 
 # -- diagram constructors -------------------------------------------------

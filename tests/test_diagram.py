@@ -23,14 +23,27 @@ from atlq import (
     gen_d,
     gen_id,
     gen_u,
+    highest_weight,
     iota,
+    jones_wenzl,
+    lowest_weight,
     tensor,
 )
 from atlq.config import get_config
-from atlq.diagram import _POOL, cap_diagram, compose, cup_diagram, make_diagram, u0_diagram
+from atlq.diagram import (
+    _POOL,
+    cap_diagram,
+    compose,
+    cup_diagram,
+    d_diagram,
+    id_diagram,
+    make_diagram,
+    point_key,
+    u0_diagram,
+)
 from atlq.scalar import HALF, MINUS_TWO, ONE
 
-from helpers import random_single_diagram
+from helpers import random_single_diagram, reference_compose
 
 
 def only_diagram(m: Morphism):
@@ -118,9 +131,86 @@ def test_inessential_circle_scalar():
 
 
 def test_diagram_compose_reports_circles():
+    # the closed loop confined to the middle circle
     u = only_diagram(gen_u(2, 1))
     d, iness, ess = compose(u, u)
     assert (d, iness, ess) == (u, 1, 0)
+
+
+# a cup whose arcs leave through the two edges at level 0: the cup of U_0
+WRAPPED_CUP = make_diagram(0, 2, 1, 0, [(("O", 0), ("L", 0)), (("O", 1), ("R", 0))])
+
+
+def test_seam_same_level_arc_is_essential():
+    # the wrapped cup closed by a cap: one arc L_0 - R_0, which winds once
+    closed = make_diagram(0, 0, 0, 1, [])
+    assert compose(WRAPPED_CUP, cap_diagram(2, 0)) == (closed, 0, 1)
+    with_one = make_diagram(0, 2, 1, 1, WRAPPED_CUP.arcs)
+    assert compose(with_one, cap_diagram(2, 0)) == (make_diagram(0, 0, 0, 2, []), 0, 2)
+
+
+def test_seam_hairpins_on_both_edges_are_inessential():
+    # a wrapped cup under a wrapped cap: L_0 - L_1 and R_0 - R_1, a loop
+    # crossing the seam there and back
+    cap = make_diagram(2, 0, 1, 0, [(("I", 0), ("L", 0)), (("I", 1), ("R", 0))])
+    assert compose(WRAPPED_CUP, cap) == (make_diagram(0, 0, 0, 0, []), 1, 0)
+
+
+def test_seam_hairpin_on_one_edge_splices():
+    # D then D^-1: R_0 - R_1 comes off the seam, joining I_0 - L_0 and
+    # L_1 - O_0 into one through strand
+    for n in range(1, 5):
+        d, iness, ess = compose(d_diagram(n, 1), d_diagram(n, -1))
+        assert d is id_diagram(n) and d.seam == 0 and (iness, ess) == (0, 0)
+
+
+def _reference_inputs(mode: str) -> list:
+    """Distinct diagrams from the projector builds and seeded products, sorted."""
+    built = [extremal(m) for m in range(2, 6)] + [jones_wenzl(m) for m in range(2, 7)]
+    built += [highest_weight(m) for m in range(2, 5)] + [lowest_weight(m) for m in range(2, 5)]
+    rng = random.Random(f"compose-{mode}")
+    with configure(mode=mode):
+        for _ in range(150):
+            n = rng.randrange(1, 7)
+            built.append(random_single_diagram(rng, n, 10))
+            # U_0 and D^+-1 pile up seam levels; caps and cups change the
+            # shape, and closing a winding word with both makes essential circles
+            word = gen_id(n)
+            for _ in range(rng.randrange(1, 6)):
+                letter = gen_u(n, 0) if n >= 2 and rng.random() < 0.5 else gen_d(n, rng.choice((1, -1)))
+                word = word * letter
+            built.append(word)
+            if n >= 2:
+                cap, cup = gen_cap(n, rng.randrange(n - 1)), gen_cup(n - 2, rng.randrange(n - 1))
+                built += [cap * word, word * cup, cap * word * cup]
+    diagrams = {d for x in built for d in x.terms}
+    return sorted(diagrams, key=lambda d: (
+        d.dom, d.cod, d.seam, d.ess, [(point_key(p), point_key(q)) for p, q in d.arcs]
+    ))
+
+
+@pytest.mark.parametrize("mode", ["quotient", "raw"])
+def test_compose_matches_reference(mode):
+    pool = _reference_inputs(mode)
+    assert max(d.seam for d in pool) >= 4
+    if mode == "raw":
+        assert any(d.ess for d in pool)
+    by_dom: dict[int, list] = {}
+    for d in pool:
+        by_dom.setdefault(d.dom, []).append(d)
+    rng = random.Random(f"pairs-{mode}")
+    for _ in range(4000):
+        inner = rng.choice(pool)
+        outer = rng.choice(by_dom[inner.cod])
+        got = compose.__wrapped__(inner, outer)
+        want = reference_compose(inner, outer)
+        assert got[0] is want[0] and got[1:] == want[1:]
+    inner, outer = gen_u(3, 1), gen_u(2, 1)
+    with pytest.raises(ValueError) as got_err:
+        compose(only_diagram(inner), only_diagram(outer))
+    with pytest.raises(ValueError) as want_err:
+        reference_compose(only_diagram(inner), only_diagram(outer))
+    assert str(got_err.value) == str(want_err.value)
 
 
 def test_quotient_mode_drops_essential_circles():

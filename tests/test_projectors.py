@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+import atlq
 from atlq import (
     WeightMap,
+    clear_caches,
     configure,
     ess_equal,
     extremal,
@@ -37,6 +39,7 @@ from atlq import (
     weight_tensor,
 )
 from atlq.cli import PROJECTOR_KINDS
+from atlq.diagram import compose
 from atlq.projectors import WEIGHTS, phi_extremal
 from atlq.scalar import HALF, I, ONE
 
@@ -281,11 +284,27 @@ FROZEN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(FROZEN_DIGESTS))
-def test_projector_output_is_frozen(kind):
+def _output_digest(kind: str) -> str:
     build, least = PROJECTOR_KINDS[kind]
     digest = hashlib.sha256()
     for m in range(least, 6):
         x = build(m)
         digest.update((x.dumps() + "\n" + phi(x).dumps() + "\n").encode())
-    assert digest.hexdigest() == FROZEN_DIGESTS[kind]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(FROZEN_DIGESTS))
+def test_projector_output_is_frozen(kind):
+    assert _output_digest(kind) == FROZEN_DIGESTS[kind]
+
+
+def test_results_survive_clear_caches(monkeypatch):
+    before, props = extremal(4), verify_properties(3)
+    # a wrapper patched over a public name must not hide the memo behind it
+    monkeypatch.setattr(atlq, "extremal", lambda m: before)
+    clear_caches()
+    assert compose.cache_info().currsize == 0
+    rebuilt = extremal(4)
+    assert rebuilt is not before and rebuilt == before
+    assert {kind: _output_digest(kind) for kind in FROZEN_DIGESTS} == FROZEN_DIGESTS
+    assert verify_properties(3) == props
