@@ -61,7 +61,9 @@ __version__ = "0.1.0"
 # bound once, so a wrapper later patched over one of these names (as the
 # benchmark's traced jobs do) does not hide the memo behind it
 _MEMOS = (
-    diagram.compose, jones_wenzl, extremal, highest_weight, lowest_weight, cheb_j, cheb_l,
+    diagram.compose, diagram.id_diagram, diagram.u_diagram, diagram.u0_diagram,
+    diagram.cap_diagram, diagram.cup_diagram, diagram.d_diagram,
+    jones_wenzl, extremal, highest_weight, lowest_weight, cheb_j, cheb_l,
     projectors.phi_extremal, projectors._shifted, projectors._Diagrams.factors,
     projectors._Diagrams.weight_tensor, projectors._Weights.weight_tensor,
     projectors._Weights.split,

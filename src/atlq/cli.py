@@ -26,9 +26,10 @@ Global flags --mode {raw,quotient} and --max-strands N take precedence
 over the ATL_MODE / ATL_MAX_STRANDS environment variables.
 
 Bad input (an unknown or out-of-range operand, mismatched shapes, a
-projector size outside its range, or a projector, tensor product or
-coordinate basis over --max-strands) is reported on one "error: ..."
-line with exit status 2.
+projector size outside its range, a negative verify MAX, a bad
+--max-strands, ATL_MODE or ATL_MAX_STRANDS value, or a projector, tensor
+product or coordinate basis over --max-strands) is reported on one
+"error: ..." line with exit status 2.
 """
 
 from __future__ import annotations
@@ -125,6 +126,8 @@ def cmd_projector(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max is not None and args.max < 0:
+        _usage_error(f"verify MAX must be nonnegative, got {args.max}")
     ok, lines = run_suite(args.suite, args.max)
     for line in lines:
         print(line)
@@ -229,12 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = get_config()
-    mode = args.mode if args.mode is not None else cfg.mode
-    max_strands = (
-        args.max_strands if args.max_strands is not None else cfg.max_strands
-    )
-    set_config(type(cfg)(max_strands=max_strands, mode=mode))
+    try:
+        cfg = get_config()
+        mode = args.mode if args.mode is not None else cfg.mode
+        max_strands = (
+            args.max_strands if args.max_strands is not None else cfg.max_strands
+        )
+        set_config(type(cfg)(max_strands=max_strands, mode=mode))
+    except ValueError as exc:  # a bad ATL_* variable or --max-strands value
+        _usage_error(str(exc))
     return args.fn(args)
 
 

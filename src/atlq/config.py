@@ -6,8 +6,10 @@ projector calculus lives.  In "raw" mode those terms are kept on the
 diagram as a circle count.  Inessential circles always turn into factors
 of -2 regardless of mode.
 
-Environment variables ATL_MODE and ATL_MAX_STRANDS seed the defaults;
-explicit set_config / configure calls (and CLI flags) override them.
+Environment variables ATL_MODE and ATL_MAX_STRANDS seed the defaults,
+read on the first `get_config()` (not at import); a bad value raises a
+ValueError naming the variable.  Explicit set_config / configure calls
+(and CLI flags) override them.
 The config lives in a context variable, so each thread and each asyncio
 task sees its own overrides; a new thread starts from the defaults.
 """
@@ -18,6 +20,7 @@ import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 MODE_QUOTIENT = "quotient"
 MODE_RAW = "raw"
@@ -36,20 +39,27 @@ class EngineConfig:
             raise ValueError("max_strands must be nonnegative")
 
 
+@lru_cache(maxsize=None)
 def _from_env() -> EngineConfig:
-    kwargs = {}
-    if "ATL_MAX_STRANDS" in os.environ:
-        kwargs["max_strands"] = int(os.environ["ATL_MAX_STRANDS"])
-    if "ATL_MODE" in os.environ:
-        kwargs["mode"] = os.environ["ATL_MODE"]
-    return EngineConfig(**kwargs)
+    """The defaults seeded by ATL_MAX_STRANDS and ATL_MODE, read once."""
+    cfg = EngineConfig()
+    for var, field, parse in (("ATL_MAX_STRANDS", "max_strands", int), ("ATL_MODE", "mode", str)):
+        text = os.environ.get(var)
+        if text is not None:
+            try:
+                cfg = replace(cfg, **{field: parse(text)})
+            except ValueError as exc:
+                raise ValueError(f"{var}={text!r}: {exc}") from None
+    return cfg
 
 
-_config: ContextVar[EngineConfig] = ContextVar("atlq_config", default=_from_env())
+# unset until a caller overrides it, so importing reads no environment
+_config: ContextVar[EngineConfig] = ContextVar("atlq_config")
 
 
 def get_config() -> EngineConfig:
-    return _config.get()
+    cfg = _config.get(None)
+    return cfg if cfg is not None else _from_env()
 
 
 def set_config(cfg: EngineConfig) -> None:
@@ -64,7 +74,7 @@ def configure(**kwargs):
     ...     get_config().mode
     'raw'
     """
-    cfg = replace(_config.get(), **kwargs)
+    cfg = replace(get_config(), **kwargs)
     token = _config.set(cfg)
     try:
         yield cfg

@@ -50,7 +50,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .config import MODE_QUOTIENT, get_config
 from .scalar import MINUS_TWO, ONE, Combination, GaussianRational
@@ -362,14 +362,36 @@ def _guard(n: int) -> None:
         raise ValueError("negative strand count")
 
 
+def _generator(grow: int = 0):
+    """Memoize a generator diagram constructor f(n, ...).
+
+    The strand guard (n + grow strands) runs on every call, before the
+    memo is read, so a smaller configured limit still refuses a diagram
+    built earlier.  `cache_clear` empties the memo.
+    """
+
+    def wrap(build):
+        memo = lru_cache(maxsize=None)(build)
+
+        @wraps(build)
+        def constructor(n: int, *args) -> AnnularDiagram:
+            _guard(n + grow)
+            return memo(n, *args)
+
+        constructor.cache_clear = memo.cache_clear
+        return constructor
+
+    return wrap
+
+
+@_generator()
 def id_diagram(n: int) -> AnnularDiagram:
-    _guard(n)
     return make_diagram(n, n, 0, 0, [(("I", j), ("O", j)) for j in range(n)])
 
 
+@_generator()
 def u_diagram(n: int, i: int) -> AnnularDiagram:
     """Cap-cup U_i joining strands i-1 and i (1-based i, 1 <= i <= n-1)."""
-    _guard(n)
     if not 1 <= i <= n - 1:
         raise ValueError(f"U_{i} undefined on {n} strands")
     arcs = [(("I", i - 1), ("I", i)), (("O", i - 1), ("O", i))]
@@ -377,9 +399,9 @@ def u_diagram(n: int, i: int) -> AnnularDiagram:
     return make_diagram(n, n, 0, 0, arcs)
 
 
+@_generator()
 def u0_diagram(n: int) -> AnnularDiagram:
     """Cap-cup between the last and first strands, around the seam."""
-    _guard(n)
     if n < 2:
         raise ValueError("U_0 needs at least 2 strands")
     arcs = [
@@ -392,9 +414,9 @@ def u0_diagram(n: int) -> AnnularDiagram:
     return make_diagram(n, n, 2, 0, arcs)
 
 
+@_generator()
 def cap_diagram(n: int, i: int) -> AnnularDiagram:
     """Cap joining inner points i, i+1 (0-based); maps n -> n-2 strands."""
-    _guard(n)
     if not 0 <= i <= n - 2:
         raise ValueError(f"cap at {i} undefined on {n} strands")
     arcs = [(("I", i), ("I", i + 1))]
@@ -402,9 +424,9 @@ def cap_diagram(n: int, i: int) -> AnnularDiagram:
     return make_diagram(n, n - 2, 0, 0, arcs)
 
 
+@_generator(grow=2)
 def cup_diagram(n: int, i: int) -> AnnularDiagram:
     """Cup creating outer points i, i+1 (0-based); maps n -> n+2 strands."""
-    _guard(n + 2)
     if not 0 <= i <= n:
         raise ValueError(f"cup at {i} undefined on {n} strands")
     arcs = [(("O", i), ("O", i + 1))]
@@ -412,9 +434,9 @@ def cup_diagram(n: int, i: int) -> AnnularDiagram:
     return make_diagram(n, n + 2, 0, 0, arcs)
 
 
+@_generator()
 def d_diagram(n: int, e: int = 1) -> AnnularDiagram:
     """Rotation by one strand position; e = +1 sends strand 0 to n-1."""
-    _guard(n)
     if e not in (1, -1):
         raise ValueError("rotation exponent must be +1 or -1")
     if n == 0:

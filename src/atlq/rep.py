@@ -9,10 +9,38 @@ An n-strand object maps to the free Q(i)-module on length-n strings over
 * rotation D:      s -> s[1:] + s[0] times i if s[0] is '+', else -i;
 * rotation D^-1:   s -> s[-1] + s[:-1] times -i if s[-1] is '+', else i.
 
-A diagram with essential circles maps to zero.  All other diagrams are
-evaluated by pushing sign strings through a generator word from
-`planar.factorize`; the resulting matrix, a `WeightMap`, stores only the
-nonzero entries as (output string, input string) -> scalar.
+A diagram with essential circles maps to zero.  Any other diagram is
+evaluated in closed form, tracing each strand once.  Follow a strand
+from a boundary point through its arcs; on reaching L_t or R_t, go on
+from the opposite edge at the same level (L_t <-> R_t) until an I or O
+point.  Each of the strand's two orientations signs its ends '+' where
+it runs upward: an I end where it starts and an O end where it stops
+get '+', the other two '-'.  An orientation has the phase i^k, where k
+adds up quarter turns over the strand's segments, each read in travel
+order as (entry point -> exit point):
+
+* I -> I and O -> O: 2 if the segment runs from the lower index to the
+  higher, else 0;
+* O -> R and L -> I: 2;
+* every other segment (O -> L, R -> I, I <-> O, I -> L/R, L/R -> O,
+  L <-> R): 0;
+* plus 1 for an exit through L and 3 for an exit through R.
+
+Canonical diagrams have no L-L or R-R arcs, so the table needs no rows
+for them.  The weight map has one entry per choice of orientations of
+all strands: the O signs give its row, the I signs its column, and the
+strands' phases multiply.
+
+Why this holds: the phase is a gauge of -1 for each horizontal tangent
+a strand passes going right and +1 for each one it passes going left,
+and a seam crossing, drawn slanting upward, gives i going left and -i
+going right.  That reproduces the cap, cup and rotation rules above,
+and gives -2 for a contractible circle (each of its two orientations
+passes one tangent each way, a phase of -1) and 0 for an essential
+circle (i + -i).
+
+A `WeightMap` stores only the nonzero entries as (output string, input
+string) -> scalar.
 
 This functor is faithful on the essential-circle quotient, which the test
 suite witnesses by checking that the central binomial numbers of basis
@@ -24,10 +52,10 @@ exactly at the same time.
 from __future__ import annotations
 
 from itertools import product
+from sys import intern
 
-from .diagram import AnnularDiagram, Morphism
-from .planar import factorize
-from .scalar import I, MINUS_I, ONE, ZERO, Combination, GaussianRational
+from .diagram import AnnularDiagram, Morphism, Point
+from .scalar import I, MINUS_I, MINUS_ONE, ONE, ZERO, Combination, GaussianRational, mul_i_pow
 
 
 def sign_strings(n: int) -> list[str]:
@@ -126,65 +154,89 @@ class WeightMap(Combination):
 # -- evaluating diagrams ------------------------------------------------------
 
 
-def _apply_letter(state: dict[str, GaussianRational], letter) -> dict[str, GaussianRational]:
-    kind, _, x = letter
-    out: dict[str, GaussianRational] = {}
+# quarter turns of a segment by (entry kind, exit kind), besides I-I and
+# O-O arcs, which turn by index; and of an exit through the seam
+_TURNS = {("O", "R"): 2, ("L", "I"): 2}
+_EXIT_TURNS = {"L": 1, "R": 3}
+_OTHER_EDGE = {"L": "R", "R": "L"}
+# the sign of an I or O end where an orientation starts, and where it stops
+_START_SIGN = {"I": "+", "O": "-"}
+_STOP_SIGN = {"I": "-", "O": "+"}
+_I_POWERS = (ONE, I, MINUS_ONE, MINUS_I)
 
-    def put(s: str, v: GaussianRational):
-        prev = out.get(s)
-        out[s] = v if prev is None else prev + v
 
-    if kind == "cap":
-        for s, v in state.items():
-            pair = s[x : x + 2]
-            if pair == "+-":
-                put(s[:x] + s[x + 2 :], -v)
-            elif pair == "-+":
-                put(s[:x] + s[x + 2 :], v)
-    elif kind == "cup":
-        for s, v in state.items():
-            put(s[:x] + "+-" + s[x:], v)
-            put(s[:x] + "-+" + s[x:], -v)
-    elif kind == "d":
-        if x == 1:
-            for s, v in state.items():
-                put(s[1:] + s[0], v * (I if s[0] == "+" else MINUS_I))
-        else:
-            for s, v in state.items():
-                put(s[-1] + s[:-1], v * (MINUS_I if s[-1] == "+" else I))
+def _turns(p: Point, q: Point) -> int:
+    """Quarter turns of the segment p -> q, its exit included."""
+    if p[0] == q[0]:  # an I-I cap or an O-O cup
+        k = 2 if p[1] < q[1] else 0
     else:
-        raise ValueError(f"unknown letter {letter!r}")
-    return {s: v for s, v in out.items() if v}
+        k = _TURNS.get((p[0], q[0]), 0)
+    return k + _EXIT_TURNS.get(q[0], 0)
 
 
-_phi_cache: dict[AnnularDiagram, WeightMap] = {}
+def _strands(d: AnnularDiagram):
+    """(first end, last end, forward turns, backward turns) per strand of d."""
+    partner = d.partner_map()
+    done = set()
+    for start in partner:
+        if start[0] in "LR" or start in done:
+            continue
+        forward = backward = 0
+        p = start
+        while True:
+            q = partner[p]
+            forward += _turns(p, q)
+            backward += _turns(q, p)
+            if q[0] not in "LR":
+                break
+            p = (_OTHER_EDGE[q[0]], q[1])
+        done.add(q)
+        yield start, q, forward, backward
+
+
+_phi_cache: dict[AnnularDiagram, tuple[tuple[tuple[str, str], int], ...]] = {}
+
+
+def _phases(d: AnnularDiagram) -> tuple[tuple[tuple[str, str], int], ...]:
+    """The ((row, col), k) pairs of d's weight map, whose entries are i^k."""
+    table = _phi_cache.get(d)
+    if table is not None:
+        return table
+    entries = []
+    if not d.ess:
+        # a slot per sign: O_j -> j, I_j -> cod + j
+        slot = {"O": 0, "I": d.cod}
+        options = [
+            (
+                (slot[a[0]] + a[1], _START_SIGN[a[0]], slot[b[0]] + b[1], _STOP_SIGN[b[0]], fwd),
+                (slot[b[0]] + b[1], _START_SIGN[b[0]], slot[a[0]] + a[1], _STOP_SIGN[a[0]], bwd),
+            )
+            for a, b, fwd, bwd in _strands(d)
+        ]
+        signs = [""] * (d.cod + d.dom)
+        for choice in product(*options):
+            k = 0
+            for pa, sa, pb, sb, turns in choice:
+                signs[pa] = sa
+                signs[pb] = sb
+                k += turns
+            # interned, so all tables and weight maps share one object per
+            # sign string: the cache holds 2^strands keys per diagram
+            row, col = intern("".join(signs[: d.cod])), intern("".join(signs[d.cod :]))
+            entries.append(((row, col), k & 3))
+        # columns in sign-string order, as `columns()` and `rank()` read them
+        entries.sort(key=lambda e: (e[0][1], e[0][0]))
+    table = _phi_cache[d] = tuple(entries)
+    return table
 
 
 def phi_diagram(d: AnnularDiagram) -> WeightMap:
-    cached = _phi_cache.get(d)
-    if cached is not None:
-        return cached
-    if d.ess:
-        out = WeightMap.zero(d.dom, d.cod)
-    else:
-        word = factorize(d)
-        entries: dict[tuple[str, str], GaussianRational] = {}
-        for col in sign_strings(d.dom):
-            state = {col: ONE}
-            for letter in word:
-                state = _apply_letter(state, letter)
-                if not state:
-                    break
-            for row, v in state.items():
-                entries[(row, col)] = v
-        out = WeightMap(d.dom, d.cod, entries)
-    _phi_cache[d] = out
-    return out
+    return WeightMap(d.dom, d.cod, {key: _I_POWERS[k] for key, k in _phases(d)})
 
 
 def phi(x: Morphism) -> WeightMap:
     return WeightMap._sum(x.dom, x.cod, (
-        (k, c * v) for d, c in x.terms.items() for k, v in phi_diagram(d).terms.items()
+        (key, mul_i_pow(c, k)) for d, c in x.terms.items() for key, k in _phases(d)
     ))
 
 

@@ -209,6 +209,29 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
     return z
 
 
+def mul_i_pow(z: GaussianRational, k: int) -> GaussianRational:
+    """z * i**k, without a gcd.
+
+    Multiplying by i sends (a, b) to (-b, a) and keeps d, so the form
+    stays reduced; k = 0 (mod 4) returns z itself.
+    """
+    k &= 3
+    if not k:
+        return z
+    a, b = z.a, z.b
+    if k == 1:
+        a, b = -b, a
+    elif k == 2:
+        a, b = -a, -b
+    else:
+        a, b = b, -a
+    w = _new(GaussianRational)
+    _set_a(w, a)
+    _set_b(w, b)
+    _set_d(w, z.d)
+    return w
+
+
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 MINUS_ONE = GaussianRational(-1)

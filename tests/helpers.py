@@ -2,16 +2,33 @@
 
 Everything here takes an explicit random.Random so failures reproduce
 from the seed alone.  `reference_compose` is the dict-based diagram
-composition that the int-coded `diagram.compose` replaced, kept as its
-test oracle.
+composition that the int-coded `diagram.compose` replaced, and
+`reference_phi_diagram` the word-based weight functor that the strand
+tracing of `rep.phi_diagram` replaced; both are kept as test oracles.
 """
 
 from __future__ import annotations
 
 import random
 
-from atlq import Morphism, crossing, gen_d, gen_id, gen_u
-from atlq.diagram import AnnularDiagram, Arc, Point, _intern, _KIND_ORDER
+from atlq import (
+    Morphism,
+    configure,
+    crossing,
+    extremal,
+    factorize,
+    gen_cap,
+    gen_cup,
+    gen_d,
+    gen_id,
+    gen_u,
+    highest_weight,
+    jones_wenzl,
+    lowest_weight,
+)
+from atlq.diagram import AnnularDiagram, Arc, Point, _intern, _KIND_ORDER, point_key
+from atlq.rep import WeightMap, sign_strings
+from atlq.scalar import I, MINUS_I, ONE, GaussianRational
 
 
 def random_single_diagram(rng: random.Random, n: int, length: int) -> Morphism:
@@ -54,6 +71,31 @@ def compose_word(word: list[Morphism], n: int) -> Morphism:
     for letter in word:
         out = out * letter
     return out
+
+
+def reference_inputs(mode: str) -> list:
+    """Distinct diagrams from the projector builds and seeded products, sorted."""
+    built = [extremal(m) for m in range(2, 6)] + [jones_wenzl(m) for m in range(2, 7)]
+    built += [highest_weight(m) for m in range(2, 5)] + [lowest_weight(m) for m in range(2, 5)]
+    rng = random.Random(f"compose-{mode}")
+    with configure(mode=mode):
+        for _ in range(150):
+            n = rng.randrange(1, 7)
+            built.append(random_single_diagram(rng, n, 10))
+            # U_0 and D^+-1 pile up seam levels; caps and cups change the
+            # shape, and closing a winding word with both makes essential circles
+            word = gen_id(n)
+            for _ in range(rng.randrange(1, 6)):
+                letter = gen_u(n, 0) if n >= 2 and rng.random() < 0.5 else gen_d(n, rng.choice((1, -1)))
+                word = word * letter
+            built.append(word)
+            if n >= 2:
+                cap, cup = gen_cap(n, rng.randrange(n - 1)), gen_cup(n - 2, rng.randrange(n - 1))
+                built += [cap * word, word * cup, cap * word * cup]
+    diagrams = {d for x in built for d in x.terms}
+    return sorted(diagrams, key=lambda d: (
+        d.dom, d.cod, d.seam, d.ess, [(point_key(p), point_key(q)) for p, q in d.arcs]
+    ))
 
 
 # -- seam reduction -------------------------------------------------------
@@ -215,3 +257,54 @@ def reference_compose(inner: AnnularDiagram, outer: AnnularDiagram):
     k, iness2, ess = _reduce_seam(partner, ka + outer.seam, inner.ess + outer.ess)
     diagram = _intern(inner.dom, outer.cod, k, ess, _partner_to_arcs(partner))
     return diagram, iness + iness2, ess
+
+
+# -- the weight functor by generator words ---------------------------------
+
+
+def _apply_letter(state: dict[str, GaussianRational], letter) -> dict[str, GaussianRational]:
+    kind, _, x = letter
+    out: dict[str, GaussianRational] = {}
+
+    def put(s: str, v: GaussianRational):
+        prev = out.get(s)
+        out[s] = v if prev is None else prev + v
+
+    if kind == "cap":
+        for s, v in state.items():
+            pair = s[x : x + 2]
+            if pair == "+-":
+                put(s[:x] + s[x + 2 :], -v)
+            elif pair == "-+":
+                put(s[:x] + s[x + 2 :], v)
+    elif kind == "cup":
+        for s, v in state.items():
+            put(s[:x] + "+-" + s[x:], v)
+            put(s[:x] + "-+" + s[x:], -v)
+    elif kind == "d":
+        if x == 1:
+            for s, v in state.items():
+                put(s[1:] + s[0], v * (I if s[0] == "+" else MINUS_I))
+        else:
+            for s, v in state.items():
+                put(s[-1] + s[:-1], v * (MINUS_I if s[-1] == "+" else I))
+    else:
+        raise ValueError(f"unknown letter {letter!r}")
+    return {s: v for s, v in out.items() if v}
+
+
+def reference_phi_diagram(d: AnnularDiagram) -> WeightMap:
+    """The weight map of d, by pushing sign strings through `factorize(d)`."""
+    if d.ess:
+        return WeightMap.zero(d.dom, d.cod)
+    word = factorize(d)
+    entries: dict[tuple[str, str], GaussianRational] = {}
+    for col in sign_strings(d.dom):
+        state = {col: ONE}
+        for letter in word:
+            state = _apply_letter(state, letter)
+            if not state:
+                break
+        for row, v in state.items():
+            entries[(row, col)] = v
+    return WeightMap(d.dom, d.cod, entries)

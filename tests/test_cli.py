@@ -1,5 +1,6 @@
 """Command line front end, run in process (plus one subprocess check)."""
 
+import contextvars
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from atlq import Morphism, WeightMap, extremal, gen_u, jones_wenzl, phi
+from atlq import Morphism, WeightMap, config, extremal, gen_u, jones_wenzl, phi
 from atlq.cli import load_operand, main
 
 
@@ -161,17 +162,52 @@ _ID_1 = {"seam": 0, "ess": 0, "arcs": [["I0", "O0"]]}
          {"wide_term.json": {"dom": 10**6, "cod": 0,
                              "terms": [{"diagram": {"seam": 0, "ess": 0, "arcs": [["I0", "I1"]]},
                                         "coeff": "1"}]}}),
+        (["--max-strands", "-1", "eval", "id_1", "phi"], {}),
+        (["ATL_MAX_STRANDS=abc", "eval", "id_1", "phi"], {}),
+        (["ATL_MAX_STRANDS=-1", "eval", "id_1", "phi"], {}),
+        (["ATL_MODE=bogus", "eval", "id_1", "phi"], {}),
+        (["verify", "product", "-3"], {}),
+        (["verify", "all", "-1"], {}),
     ],
 )
 def test_bad_input_is_a_one_line_error(argv, files, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, obj in files.items():
         (tmp_path / name).write_text(json.dumps(obj))
+    # leading NAME=value words set the environment, as in a shell; main
+    # runs in an empty context, where the config is read from it afresh
+    argv = list(argv)
+    names = []
+    while "=" in argv[0]:
+        name, value = argv.pop(0).split("=", 1)
+        monkeypatch.setenv(name, value)
+        names.append(name)
+    config._from_env.cache_clear()
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        contextvars.Context().run(main, argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(name in err for name in names)
+
+
+def test_import_reads_no_environment():
+    env = {**os.environ, "ATL_MODE": "bogus"}
+    probe = (
+        "import atlq, atlq.cli\n"
+        "try:\n"
+        "    atlq.config.get_config()\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.startswith("ATL_MODE='bogus': unknown mode")
+
+
+def test_verify_max_zero_still_runs(capsys):
+    code, out = run(capsys, "verify", "chebyshev", "0")
+    assert code == 0 and out.startswith("PASS")
 
 
 def test_planar_ptrace_at_the_limit(capsys):

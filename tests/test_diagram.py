@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from atlq import (
     GaussianRational,
     Morphism,
+    clear_caches,
     configure,
     crossing,
     extremal,
@@ -23,10 +24,7 @@ from atlq import (
     gen_d,
     gen_id,
     gen_u,
-    highest_weight,
     iota,
-    jones_wenzl,
-    lowest_weight,
     tensor,
 )
 from atlq.config import get_config
@@ -38,12 +36,11 @@ from atlq.diagram import (
     d_diagram,
     id_diagram,
     make_diagram,
-    point_key,
     u0_diagram,
 )
 from atlq.scalar import HALF, MINUS_TWO, ONE
 
-from helpers import random_single_diagram, reference_compose
+from helpers import random_single_diagram, reference_compose, reference_inputs
 
 
 def only_diagram(m: Morphism):
@@ -164,34 +161,9 @@ def test_seam_hairpin_on_one_edge_splices():
         assert d is id_diagram(n) and d.seam == 0 and (iness, ess) == (0, 0)
 
 
-def _reference_inputs(mode: str) -> list:
-    """Distinct diagrams from the projector builds and seeded products, sorted."""
-    built = [extremal(m) for m in range(2, 6)] + [jones_wenzl(m) for m in range(2, 7)]
-    built += [highest_weight(m) for m in range(2, 5)] + [lowest_weight(m) for m in range(2, 5)]
-    rng = random.Random(f"compose-{mode}")
-    with configure(mode=mode):
-        for _ in range(150):
-            n = rng.randrange(1, 7)
-            built.append(random_single_diagram(rng, n, 10))
-            # U_0 and D^+-1 pile up seam levels; caps and cups change the
-            # shape, and closing a winding word with both makes essential circles
-            word = gen_id(n)
-            for _ in range(rng.randrange(1, 6)):
-                letter = gen_u(n, 0) if n >= 2 and rng.random() < 0.5 else gen_d(n, rng.choice((1, -1)))
-                word = word * letter
-            built.append(word)
-            if n >= 2:
-                cap, cup = gen_cap(n, rng.randrange(n - 1)), gen_cup(n - 2, rng.randrange(n - 1))
-                built += [cap * word, word * cup, cap * word * cup]
-    diagrams = {d for x in built for d in x.terms}
-    return sorted(diagrams, key=lambda d: (
-        d.dom, d.cod, d.seam, d.ess, [(point_key(p), point_key(q)) for p, q in d.arcs]
-    ))
-
-
 @pytest.mark.parametrize("mode", ["quotient", "raw"])
 def test_compose_matches_reference(mode):
-    pool = _reference_inputs(mode)
+    pool = reference_inputs(mode)
     assert max(d.seam for d in pool) >= 4
     if mode == "raw":
         assert any(d.ess for d in pool)
@@ -269,6 +241,23 @@ def test_strand_guard():
         with pytest.raises(ValueError, match="exceeds the configured limit"):
             iota(gen_id(3))
     assert tensor(gen_id(2), gen_id(2)) == iota(gen_id(3))
+
+
+def test_generator_memo_is_cleared_with_the_pool():
+    id_diagram(3)
+    clear_caches()
+    # a memo that outlived the pool would hand out a diagram compose no
+    # longer interns, so the two would be equal but not identical
+    assert id_diagram(3) is compose(id_diagram(3), id_diagram(3))[0]
+
+
+def test_memoized_generator_is_still_guarded():
+    d_diagram(5, 1)
+    with configure(max_strands=3):
+        with pytest.raises(ValueError, match="exceeds the configured limit"):
+            d_diagram(5, 1)
+        with pytest.raises(ValueError, match="exceeds the configured limit"):
+            cup_diagram(2, 0)
 
 
 # -- morphism algebra --------------------------------------------------------

@@ -18,10 +18,11 @@ from atlq import (
     gen_u,
     phi,
 )
+from atlq.diagram import make_diagram
 from atlq.rep import phi_diagram, rank_of_columns, sign_strings, solve_columns
-from atlq.scalar import I, MINUS_ONE, ONE, TWO, ZERO
+from atlq.scalar import I, MINUS_I, MINUS_ONE, ONE, TWO, ZERO
 
-from helpers import compose_word, random_word
+from helpers import compose_word, random_word, reference_inputs, reference_phi_diagram
 
 
 # -- frozen generator images -------------------------------------------------
@@ -60,6 +61,64 @@ def test_wrap_turnback_image_differs_from_interior():
     assert m.rank() == 1
     d = phi(gen_d(2, 1))
     assert d * m == phi(gen_u(2, 1)) * d
+
+
+# -- the closed form, strand by strand ----------------------------------------
+
+# Hand-built diagrams, one per row of the quarter-turn table and per seam
+# crossing direction, with their weight maps worked out from the rule.
+# Each strand is named by its two orientations: (signs, phase) per entry.
+_HAND_BUILT = {
+    # I -> I: 2 from the lower index up, 0 back down
+    "cap": ((2, 0, 0, [(("I", 0), ("I", 1))]),
+            {("", "+-"): MINUS_ONE, ("", "-+"): ONE}),
+    # O -> O: the same by index
+    "cup": ((0, 2, 0, [(("O", 0), ("O", 1))]),
+            {("-+", ""): MINUS_ONE, ("+-", ""): ONE}),
+    # I -> O and O -> I: 0
+    "through": ((2, 2, 0, [(("I", 0), ("O", 0)), (("I", 1), ("O", 1))]),
+                {(s, s): ONE for s in ("++", "+-", "-+", "--")}),
+    # D: I -> L exits left (+1), then R -> O; back: O -> R (2, exit +3), L -> I (2)
+    "d": ((1, 1, 1, [(("I", 0), ("L", 0)), (("R", 0), ("O", 0))]),
+          {("+", "+"): I, ("-", "-"): MINUS_I}),
+    # D^-1: I -> R exits right (+3), then L -> O; back: O -> L (exit +1), R -> I
+    "dinv": ((1, 1, 1, [(("I", 0), ("R", 0)), (("L", 0), ("O", 0))]),
+             {("+", "+"): MINUS_I, ("-", "-"): I}),
+    # U_0 on two strands: a cap and a cup that both cross the seam
+    "u0": ((2, 2, 2, [(("I", 0), ("L", 0)), (("I", 1), ("R", 0)),
+                      (("L", 1), ("O", 0)), (("O", 1), ("R", 1))]),
+           {(r, c): MINUS_ONE for r in ("+-", "-+") for c in ("+-", "-+")}),
+    # D^2 and D^-2 on one strand: an L <-> R segment between the two levels
+    "twist": ((1, 1, 2, [(("I", 0), ("L", 0)), (("R", 0), ("L", 1)), (("R", 1), ("O", 0))]),
+              {("+", "+"): MINUS_ONE, ("-", "-"): MINUS_ONE}),
+    "twist_inv": ((1, 1, 2, [(("I", 0), ("R", 0)), (("L", 0), ("R", 1)), (("L", 1), ("O", 0))]),
+                  {("+", "+"): MINUS_ONE, ("-", "-"): MINUS_ONE}),
+    # a cap beside a through strand: the phases of different strands multiply
+    "cap_beside_d": ((3, 1, 1, [(("I", 0), ("L", 0)), (("I", 1), ("I", 2)), (("R", 0), ("O", 0))]),
+                     {("+", "++-"): MINUS_I, ("+", "+-+"): I,
+                      ("-", "-+-"): I, ("-", "--+"): MINUS_I}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HAND_BUILT))
+def test_phi_diagram_hand_built(case):
+    (dom, cod, seam, arcs), entries = _HAND_BUILT[case]
+    d = make_diagram(dom, cod, seam, 0, arcs)
+    d.validate()
+    assert phi_diagram(d) == WeightMap(dom, cod, entries)
+
+
+@pytest.mark.parametrize("mode", ["quotient", "raw"])
+def test_phi_diagram_matches_reference(mode):
+    pool = reference_inputs(mode)
+    assert max(d.seam for d in pool) >= 8
+    if mode == "raw":
+        assert any(d.ess for d in pool)
+    for d in pool:
+        got = phi_diagram(d)
+        assert got == reference_phi_diagram(d)
+        if d.ess:
+            assert got.is_zero()
 
 
 # -- algebra -----------------------------------------------------------------

@@ -20,6 +20,7 @@ from atlq.scalar import (
     ZERO,
     Combination,
     GaussianRational,
+    mul_i_pow,
 )
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=10**4)
@@ -140,6 +141,15 @@ def test_kernel_matches_fraction_pairs(p, q, r, s, k):
         assert _reduced(a.inverse()) == (p / n, -q / n)
     if a or k >= 0:
         assert _reduced(a**k) == _pair_pow((p, q), k)
+
+
+@given(gaussians, st.integers(0, 7))
+def test_mul_i_pow_is_multiplication_by_a_unit(z, k):
+    w = mul_i_pow(z, k)
+    assert w == z * I**k
+    assert _reduced(w) == _reduced(z * I**k)
+    if k % 4 == 0:
+        assert w is z
 
 
 @pytest.mark.parametrize(
