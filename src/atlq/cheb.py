@@ -14,7 +14,7 @@ Polynomials are integer coefficient tuples, ascending degree.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from .config import memo
 
 Poly = tuple[int, ...]
 
@@ -52,28 +52,26 @@ def _trim(cs) -> Poly:
     return tuple(cs)
 
 
-@lru_cache(maxsize=None)
+@memo()
+def _chebyshev(p0: Poly, m: int) -> Poly:
+    """p_m = X p_{m-1} - p_{m-2} from the given p_0 and p_1 = X."""
+    if m < 0:
+        raise ValueError("negative index")
+    if m == 0:
+        return p0
+    if m == 1:
+        return X
+    return poly_sub(poly_mul(X, _chebyshev(p0, m - 1)), _chebyshev(p0, m - 2))
+
+
 def cheb_l(m: int) -> Poly:
     """Renormalized Chebyshev of the first kind: L_0 = 2, L_1 = X."""
-    if m < 0:
-        raise ValueError("negative index")
-    if m == 0:
-        return (2,)
-    if m == 1:
-        return X
-    return poly_sub(poly_mul(X, cheb_l(m - 1)), cheb_l(m - 2))
+    return _chebyshev((2,), m)
 
 
-@lru_cache(maxsize=None)
 def cheb_j(m: int) -> Poly:
     """Chebyshev of the second kind: J_0 = 1, J_1 = X."""
-    if m < 0:
-        raise ValueError("negative index")
-    if m == 0:
-        return (1,)
-    if m == 1:
-        return X
-    return poly_sub(poly_mul(X, cheb_j(m - 1)), cheb_j(m - 2))
+    return _chebyshev((1,), m)
 
 
 def poly_str(p: Poly) -> str:

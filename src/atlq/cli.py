@@ -26,10 +26,11 @@ Global flags --mode {raw,quotient} and --max-strands N take precedence
 over the ATL_MODE / ATL_MAX_STRANDS environment variables.
 
 Bad input (an unknown or out-of-range operand, mismatched shapes, a
-projector size outside its range, a negative verify MAX, a bad
---max-strands, ATL_MODE or ATL_MAX_STRANDS value, or a projector, tensor
-product or coordinate basis over --max-strands) is reported on one
-"error: ..." line with exit status 2.
+projector size outside its range, a negative verify MAX, a file that
+cannot be read or written, a bad --max-strands, ATL_MODE or
+ATL_MAX_STRANDS value, or a projector, tensor product or coordinate
+basis over --max-strands) is reported on one "error: ..." line with
+exit status 2.
 """
 
 from __future__ import annotations
@@ -94,6 +95,8 @@ def load_operand(text: str) -> Morphism:
         _usage_error(f"{text!r} is neither a builtin name nor a file")
     try:
         x = Morphism.from_json_obj(json.loads(path.read_text()))
+    except OSError as exc:  # a directory, or a file that may not be read
+        _usage_error(f"{text}: cannot read ({exc.strerror})")
     except (ValueError, KeyError, TypeError) as exc:
         _usage_error(f"{text}: not a morphism JSON file ({type(exc).__name__}: {exc})")
     if (x.dom + x.cod) % 2:
@@ -103,7 +106,10 @@ def load_operand(text: str) -> Morphism:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text)
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:
+            _usage_error(f"{output}: cannot write ({exc.strerror})")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 

@@ -20,7 +20,7 @@ import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 MODE_QUOTIENT = "quotient"
 MODE_RAW = "raw"
@@ -80,3 +80,43 @@ def configure(**kwargs):
         yield cfg
     finally:
         _config.reset(token)
+
+
+def guard(n: int) -> None:
+    """Refuse a strand count over the configured limit, or a negative one."""
+    limit = get_config().max_strands
+    if n > limit:
+        raise ValueError(f"{n} strands exceeds the configured limit of {limit}")
+    if n < 0:
+        raise ValueError("negative strand count")
+
+
+# the clear function of every engine memo and table, registered where it is
+# declared, so a wrapper later patched over a public name leaves it reachable
+CACHE_CLEARS: list = []
+
+
+def memo(strands=None):
+    """Memoize an engine function without bound and register its clear.
+
+    With `strands`, which maps the arguments to a strand count, the guard
+    runs on every call before the lookup, so a result built under a looser
+    limit is refused under a tighter one exactly as a fresh build would be.
+    """
+
+    def wrap(fn):
+        cached = lru_cache(maxsize=None)(fn)
+        CACHE_CLEARS.append(cached.cache_clear)
+        if strands is None:
+            return cached
+
+        @wraps(fn)
+        def guarded(*args):
+            guard(strands(*args))
+            return cached(*args)
+
+        guarded.cache_info = cached.cache_info
+        guarded.cache_clear = cached.cache_clear
+        return guarded
+
+    return wrap

@@ -50,9 +50,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
-
-from .config import MODE_QUOTIENT, get_config
+from .config import CACHE_CLEARS, MODE_QUOTIENT, get_config, guard, memo
 from .scalar import MINUS_TWO, ONE, Combination, GaussianRational
 
 Point = tuple[str, int]
@@ -183,6 +181,7 @@ class AnnularDiagram:
 # diagrams recur heavily during composition; interning keeps one object per
 # canonical form so hashing and equality usually reduce to identity checks
 _POOL: dict[tuple, AnnularDiagram] = {}
+CACHE_CLEARS.append(_POOL.clear)
 
 
 def _intern(dom: int, cod: int, seam: int, ess: int, arcs: tuple[Arc, ...]) -> AnnularDiagram:
@@ -266,7 +265,7 @@ def _seam_step(partner: list[int], levels: list[int], lo: int, ro: int):
     return None
 
 
-@lru_cache(maxsize=None)
+@memo()
 def compose(inner: AnnularDiagram, outer: AnnularDiagram):
     """Glue `outer` around `inner` (inner.cod == outer.dom).
 
@@ -354,42 +353,12 @@ def compose(inner: AnnularDiagram, outer: AnnularDiagram):
 # -- diagram constructors -------------------------------------------------
 
 
-def _guard(n: int) -> None:
-    limit = get_config().max_strands
-    if n > limit:
-        raise ValueError(f"{n} strands exceeds the configured limit of {limit}")
-    if n < 0:
-        raise ValueError("negative strand count")
-
-
-def _generator(grow: int = 0):
-    """Memoize a generator diagram constructor f(n, ...).
-
-    The strand guard (n + grow strands) runs on every call, before the
-    memo is read, so a smaller configured limit still refuses a diagram
-    built earlier.  `cache_clear` empties the memo.
-    """
-
-    def wrap(build):
-        memo = lru_cache(maxsize=None)(build)
-
-        @wraps(build)
-        def constructor(n: int, *args) -> AnnularDiagram:
-            _guard(n + grow)
-            return memo(n, *args)
-
-        constructor.cache_clear = memo.cache_clear
-        return constructor
-
-    return wrap
-
-
-@_generator()
+@memo(lambda n, *_: n)
 def id_diagram(n: int) -> AnnularDiagram:
     return make_diagram(n, n, 0, 0, [(("I", j), ("O", j)) for j in range(n)])
 
 
-@_generator()
+@memo(lambda n, *_: n)
 def u_diagram(n: int, i: int) -> AnnularDiagram:
     """Cap-cup U_i joining strands i-1 and i (1-based i, 1 <= i <= n-1)."""
     if not 1 <= i <= n - 1:
@@ -399,7 +368,7 @@ def u_diagram(n: int, i: int) -> AnnularDiagram:
     return make_diagram(n, n, 0, 0, arcs)
 
 
-@_generator()
+@memo(lambda n, *_: n)
 def u0_diagram(n: int) -> AnnularDiagram:
     """Cap-cup between the last and first strands, around the seam."""
     if n < 2:
@@ -414,7 +383,7 @@ def u0_diagram(n: int) -> AnnularDiagram:
     return make_diagram(n, n, 2, 0, arcs)
 
 
-@_generator()
+@memo(lambda n, *_: n)
 def cap_diagram(n: int, i: int) -> AnnularDiagram:
     """Cap joining inner points i, i+1 (0-based); maps n -> n-2 strands."""
     if not 0 <= i <= n - 2:
@@ -424,7 +393,7 @@ def cap_diagram(n: int, i: int) -> AnnularDiagram:
     return make_diagram(n, n - 2, 0, 0, arcs)
 
 
-@_generator(grow=2)
+@memo(lambda n, i: n + 2)
 def cup_diagram(n: int, i: int) -> AnnularDiagram:
     """Cup creating outer points i, i+1 (0-based); maps n -> n+2 strands."""
     if not 0 <= i <= n:
@@ -434,7 +403,7 @@ def cup_diagram(n: int, i: int) -> AnnularDiagram:
     return make_diagram(n, n + 2, 0, 0, arcs)
 
 
-@_generator()
+@memo(lambda n, *_: n)
 def d_diagram(n: int, e: int = 1) -> AnnularDiagram:
     """Rotation by one strand position; e = +1 sends strand 0 to n-1."""
     if e not in (1, -1):
@@ -517,8 +486,8 @@ class Morphism(Combination):
         dom, cod = int(obj["dom"]), int(obj["cod"])
         # guard the shape before any term is read: validating a term walks
         # its whole claimed boundary
-        _guard(dom)
-        _guard(cod)
+        guard(dom)
+        guard(cod)
         return cls._sum(dom, cod, (
             (diagram_from_json_obj(t["diagram"], dom, cod), GaussianRational.parse(t["coeff"]))
             for t in obj["terms"]

@@ -24,11 +24,10 @@ crossings:
 
 from __future__ import annotations
 
-from .config import get_config
+from .config import CACHE_CLEARS, get_config, guard
 from .diagram import (
     AnnularDiagram,
     Morphism,
-    _guard,
     cap_diagram,
     compose,
     crossing,
@@ -49,45 +48,25 @@ from .scalar import MINUS_TWO, GaussianRational
 Letter = tuple[str, int, int]
 
 _factor_cache: dict[AnnularDiagram, tuple[Letter, ...]] = {}
+CACHE_CLEARS.append(_factor_cache.clear)
 
 
-def _find_bottom_cap(d: AnnularDiagram) -> int | None:
-    for j in range(d.dom - 1):
-        if (("I", j), ("I", j + 1)) in d.arcs:
+def _find_turnback(d: AnnularDiagram, side: str) -> int | None:
+    """The first j with an arc side_j - side_{j+1}: a cap on "I", a cup on "O"."""
+    for j in range((d.dom if side == "I" else d.cod) - 1):
+        if ((side, j), (side, j + 1)) in d.arcs:
             return j
     return None
 
 
-def _find_top_cup(d: AnnularDiagram) -> int | None:
-    for j in range(d.cod - 1):
-        if (("O", j), ("O", j + 1)) in d.arcs:
-            return j
-    return None
+def _strip_turnback(d: AnnularDiagram, side: str, j: int) -> AnnularDiagram:
+    def fix(x):
+        return (side, x[1] - 2) if x[0] == side and x[1] > j + 1 else x
 
-
-def _strip_bottom_cap(d: AnnularDiagram, j: int) -> AnnularDiagram:
-    arcs = []
-    for p, q in d.arcs:
-        if (p, q) == (("I", j), ("I", j + 1)):
-            continue
-
-        def fix(x):
-            return ("I", x[1] - 2) if x[0] == "I" and x[1] > j + 1 else x
-
-        arcs.append((fix(p), fix(q)))
-    return make_diagram(d.dom - 2, d.cod, d.seam, d.ess, arcs)
-
-
-def _strip_top_cup(d: AnnularDiagram, j: int) -> AnnularDiagram:
-    arcs = []
-    for p, q in d.arcs:
-        if (p, q) == (("O", j), ("O", j + 1)):
-            continue
-
-        def fix(x):
-            return ("O", x[1] - 2) if x[0] == "O" and x[1] > j + 1 else x
-
-        arcs.append((fix(p), fix(q)))
+    turn = ((side, j), (side, j + 1))
+    arcs = [(fix(p), fix(q)) for p, q in d.arcs if (p, q) != turn]
+    if side == "I":
+        return make_diagram(d.dom - 2, d.cod, d.seam, d.ess, arcs)
     return make_diagram(d.dom, d.cod - 2, d.seam, d.ess, arcs)
 
 
@@ -134,7 +113,7 @@ def _seam_search(work: AnnularDiagram):
                     post2 = (("d", diag.cod, -e),) + post
                 if cand.seam < work.seam or (
                     cand.seam <= work.seam
-                    and (_find_bottom_cap(cand) is not None or _find_top_cup(cand) is not None)
+                    and any(_find_turnback(cand, side) is not None for side in "IO")
                 ):
                     return cand, pre2, post2
                 nxt.append((cand, pre2, post2))
@@ -157,15 +136,15 @@ def factorize(d: AnnularDiagram) -> tuple[Letter, ...]:
     post_rev: list[Letter] = []  # discovered outermost first
     work = d
     while True:
-        j = _find_bottom_cap(work)
+        j = _find_turnback(work, "I")
         if j is not None:
             pre.append(("cap", work.dom, j))
-            work = _strip_bottom_cap(work, j)
+            work = _strip_turnback(work, "I", j)
             continue
-        j = _find_top_cup(work)
+        j = _find_turnback(work, "O")
         if j is not None:
             post_rev.append(("cup", work.cod - 2, j))
-            work = _strip_top_cup(work, j)
+            work = _strip_turnback(work, "O", j)
             continue
         if work.seam == 0:
             break
@@ -204,6 +183,7 @@ def recompose(dom: int, word) -> Morphism:
 # -- strand insertion -------------------------------------------------------
 
 _iota_cache: dict[tuple[str, AnnularDiagram], Morphism] = {}
+CACHE_CLEARS.append(_iota_cache.clear)
 
 
 def _iota_letter(letter: Letter) -> Morphism:
@@ -246,7 +226,7 @@ def iota_diagram(d: AnnularDiagram) -> Morphism:
 
 def iota(x: Morphism) -> Morphism:
     """Insert a through strand to the right of everything: X -> X (x) 1."""
-    _guard(max(x.dom, x.cod) + 1)
+    guard(max(x.dom, x.cod) + 1)
     return Morphism._sum(x.dom + 1, x.cod + 1, (
         (k, c * v) for d, c in x.terms.items() for k, v in iota_diagram(d).terms.items()
     ))
@@ -268,7 +248,7 @@ def is_planar(x: Morphism) -> bool:
 
 def tensor(x: Morphism, y: Morphism) -> Morphism:
     """Superposition x (x) y, with x inserted counterclockwise of y."""
-    _guard(max(x.dom + y.dom, x.cod + y.cod))
+    guard(max(x.dom + y.dom, x.cod + y.cod))
     if is_planar(x) and is_planar(y):
         return _tensor_planar(x, y)
     if x.is_identity():

@@ -35,10 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
 
-from .config import MODE_QUOTIENT, configure
-from .diagram import Morphism, _guard, crossing, gen_cap, gen_cup, gen_d, gen_id, gen_u
+from .config import MODE_QUOTIENT, configure, guard, memo
+from .diagram import Morphism, crossing, gen_cap, gen_cup, gen_d, gen_id, gen_u
 from .planar import iota, iota_prime, nested_caps, nested_cups, partial_trace, tensor
 from .rep import WeightMap, phi
 from .scalar import HALF, I, MINUS_I
@@ -61,30 +60,7 @@ class IsoPair:
     tgt_idem: Morphism
 
 
-def _guarded_cache(strands):
-    """An unbounded lru_cache that checks the max_strands guard first.
-
-    The guard runs before the lookup, so a result built under a looser
-    limit is refused under a tighter one exactly as a fresh build would
-    be.  `strands` maps the arguments to the strand count to guard.
-    """
-
-    def wrap(fn):
-        cached = lru_cache(maxsize=None)(fn)
-
-        @wraps(fn)
-        def guarded(*args):
-            _guard(strands(*args))
-            return cached(*args)
-
-        guarded.cache_info = cached.cache_info
-        guarded.cache_clear = cached.cache_clear
-        return guarded
-
-    return wrap
-
-
-@_guarded_cache(lambda m: m)
+@memo(lambda m: m)
 def jones_wenzl(m: int) -> Morphism:
     """The m-strand Jones-Wenzl projector (planar, kills all caps)."""
     if m < 1:
@@ -98,7 +74,7 @@ def jones_wenzl(m: int) -> Morphism:
         return lifted + correction.scale(Fraction(m - 1, m))
 
 
-@_guarded_cache(lambda m: m)
+@memo(lambda m: m)
 def extremal(m: int) -> Morphism:
     """The extremal weight projector T_m; T_0 is twice the empty diagram."""
     if m < 0:
@@ -113,7 +89,7 @@ def extremal(m: int) -> Morphism:
         return iota(extremal(m - 1)) * _shifted(extremal, m - 2)
 
 
-@lru_cache(maxsize=None)
+@memo()
 def _shifted(family, k: int) -> Morphism:
     """id_k (x) P_2 with P_2 = family(2), the right factor of the overlap product.
 
@@ -145,7 +121,7 @@ def extremal_by_recursion(m: int) -> Morphism:
         return prev * crossing(m, m - 1) * prev
 
 
-@_guarded_cache(lambda m: m)
+@memo(lambda m: m)
 def highest_weight(m: int) -> Morphism:
     """Projection onto the all-plus weight string, inside T_m.
 
@@ -165,14 +141,14 @@ def highest_weight(m: int) -> Morphism:
         return iota(highest_weight(m - 1)) * _shifted(highest_weight, m - 2)
 
 
-@_guarded_cache(lambda m: m)
 def lowest_weight(m: int) -> Morphism:
     """Projection onto the all-minus weight string, inside T_m.
 
     L_m is the complex conjugate of H_m, coefficient by coefficient: the
     build of H_m only adds rational structure constants (-2 per circle, 1
     per crossing term and rotation) to the coefficients of H_1 and H_2,
-    whose conjugates are L_1 and L_2.
+    whose conjugates are L_1 and L_2.  It is not memoized: conjugating
+    the memoized H_m takes time linear in its terms.
 
     >>> print(lowest_weight(1))
     1->1: (1/2) {I0-O0} + (1/2i) {I0-L0, O0-R0}
@@ -280,8 +256,8 @@ class _Diagrams(_Evaluator):
     def tensor(self, x: Morphism, y: Morphism) -> Morphism:
         return tensor(x, y)
 
-    factors = lru_cache(maxsize=None)(_Evaluator.factors)
-    weight_tensor = lru_cache(maxsize=None)(_Evaluator.weight_tensor)
+    factors = memo()(_Evaluator.factors)
+    weight_tensor = memo()(_Evaluator.weight_tensor)
 
 
 class _Weights(_Evaluator):
@@ -296,8 +272,8 @@ class _Weights(_Evaluator):
     def tensor(self, x: WeightMap, y: WeightMap) -> WeightMap:
         return x.tensor(y)
 
-    weight_tensor = lru_cache(maxsize=None)(_Evaluator.weight_tensor)
-    split = lru_cache(maxsize=None)(_Evaluator.split)
+    weight_tensor = memo()(_Evaluator.weight_tensor)
+    split = memo()(_Evaluator.split)
 
 
 _DIAGRAMS = _Diagrams()
@@ -306,7 +282,7 @@ WEIGHTS = _Weights()
 
 def _on_diagrams(strands: int, build, *args) -> Morphism:
     """Run a construction on diagrams in quotient mode, guard checked first."""
-    _guard(strands)
+    guard(strands)
     with configure(mode=MODE_QUOTIENT):
         return build(*args)
 
@@ -371,7 +347,7 @@ def kariso_contract(m: int, n: int) -> Morphism:
 _EXPAND_LIMIT = 6
 
 
-@_guarded_cache(lambda m: m)
+@memo(lambda m: m)
 def phi_extremal(m: int) -> WeightMap:
     """The weight map of T_m.
 

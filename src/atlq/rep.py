@@ -54,6 +54,7 @@ from __future__ import annotations
 from itertools import product
 from sys import intern
 
+from .config import CACHE_CLEARS
 from .diagram import AnnularDiagram, Morphism, Point
 from .scalar import I, MINUS_I, MINUS_ONE, ONE, ZERO, Combination, GaussianRational, mul_i_pow
 
@@ -195,6 +196,7 @@ def _strands(d: AnnularDiagram):
 
 
 _phi_cache: dict[AnnularDiagram, tuple[tuple[tuple[str, str], int], ...]] = {}
+CACHE_CLEARS.append(_phi_cache.clear)
 
 
 def _phases(d: AnnularDiagram) -> tuple[tuple[tuple[str, str], int], ...]:

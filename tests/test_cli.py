@@ -168,6 +168,9 @@ _ID_1 = {"seam": 0, "ess": 0, "arcs": [["I0", "O0"]]}
         (["ATL_MODE=bogus", "eval", "id_1", "phi"], {}),
         (["verify", "product", "-3"], {}),
         (["verify", "all", "-1"], {}),
+        (["eval", ".", "phi"], {}),
+        (["render", "."], {}),
+        (["projector", "extremal", "2", "--output", "missing/x.json"], {}),
     ],
 )
 def test_bad_input_is_a_one_line_error(argv, files, tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Jones-Wenzl and extremal weight projectors, splittings, isomorphisms."""
 
 import hashlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from atlq import (
     verify_properties,
     weight_tensor,
 )
+from atlq import cheb_l, config, diagram, planar, projectors, rep
 from atlq.cli import PROJECTOR_KINDS
 from atlq.diagram import compose
 from atlq.projectors import WEIGHTS, phi_extremal
@@ -308,3 +310,22 @@ def test_results_survive_clear_caches(monkeypatch):
     assert rebuilt is not before and rebuilt == before
     assert {kind: _output_digest(kind) for kind in FROZEN_DIGESTS} == FROZEN_DIGESTS
     assert verify_properties(3) == props
+
+
+def test_no_memo_escapes_clear_caches():
+    extremal(3), phi_extremal(3), weight_tensor(2, 1), WEIGHTS.split(2, 1), cheb_l(4)
+    clear_caches()
+    owners = [vars(mod) for name, mod in sys.modules.items() if name.split(".")[0] == "atlq"]
+    owners += [vars(projectors._Diagrams), vars(projectors._Weights)]
+    # config._from_env is not an engine memo: it reads the ATL_* variables
+    # once per process, and a test that changes them clears it itself
+    memos = {
+        id(obj): obj for owner in owners for obj in owner.values()
+        if hasattr(obj, "cache_info") and obj is not config._from_env
+    }.values()
+    assert {"compose", "d_diagram", "extremal", "phi_extremal", "_chebyshev", "factors", "split"} <= {
+        memo.__name__ for memo in memos
+    }
+    assert [memo.__name__ for memo in memos if memo.cache_info().currsize] == []
+    tables = (diagram._POOL, planar._factor_cache, planar._iota_cache, rep._phi_cache)
+    assert [len(table) for table in tables] == [0, 0, 0, 0]
