@@ -21,6 +21,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import lru_cache, wraps
+from inspect import signature
 
 MODE_QUOTIENT = "quotient"
 MODE_RAW = "raw"
@@ -99,9 +100,11 @@ CACHE_CLEARS: list = []
 def memo(strands=None):
     """Memoize an engine function without bound and register its clear.
 
-    With `strands`, which maps the arguments to a strand count, the guard
-    runs on every call before the lookup, so a result built under a looser
-    limit is refused under a tighter one exactly as a fresh build would be.
+    With `strands`, which maps the positional arguments to a strand count,
+    the guard runs on every call before the lookup, so a result built under
+    a looser limit is refused under a tighter one exactly as a fresh build
+    would be.  Keyword arguments are bound to the signature first, so
+    `f(3, e=-1)` is guarded and looked up as `f(3, -1)`.
     """
 
     def wrap(fn):
@@ -109,9 +112,12 @@ def memo(strands=None):
         CACHE_CLEARS.append(cached.cache_clear)
         if strands is None:
             return cached
+        bind = signature(fn).bind
 
         @wraps(fn)
-        def guarded(*args):
+        def guarded(*args, **kwargs):
+            if kwargs:
+                args = bind(*args, **kwargs).args
             guard(strands(*args))
             return cached(*args)
 

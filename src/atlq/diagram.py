@@ -51,7 +51,7 @@ import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 from .config import CACHE_CLEARS, MODE_QUOTIENT, get_config, guard, memo
-from .scalar import MINUS_TWO, ONE, Combination, GaussianRational
+from .scalar import ONE, Combination, GaussianRational, add_rescaled
 
 Point = tuple[str, int]
 Arc = tuple[Point, Point]
@@ -503,32 +503,35 @@ class Morphism(Combination):
         return f"<Morphism {self.dom}->{self.cod}, {len(self.terms)} terms>"
 
 
-_MINUS_TWO_POW = [ONE, MINUS_TWO]
-
-
-def _minus_two_pow(k: int) -> GaussianRational:
-    while len(_MINUS_TWO_POW) <= k:
-        _MINUS_TWO_POW.append(_MINUS_TWO_POW[-1] * MINUS_TWO)
-    return _MINUS_TWO_POW[k]
-
-
 def mor_compose(x: Morphism, y: Morphism) -> Morphism:
     """Categorical composition x after y."""
     if x.dom != y.cod:
         raise ValueError(f"cannot compose {x.dom}->{x.cod} after {y.dom}->{y.cod}")
     quotient = get_config().mode == MODE_QUOTIENT
-    acc: dict[AnnularDiagram, GaussianRational] = {}
+    xs = [(dx, cx.a, cx.b, cx.d) for dx, cx in x.terms.items()]
+    # unreduced [a, b, d] sums, as `scalar.accumulate` keeps them
+    acc: dict[AnnularDiagram, list[int]] = {}
     for dy, cy in y.terms.items():
-        for dx, cx in x.terms.items():
+        ay, by, ey = cy.a, cy.b, cy.d
+        for dx, ax, bx, ex in xs:
             d, iness, _ = compose(dy, dx)
             if quotient and d.ess:
                 continue
-            c = cx * cy
+            # cx * cy * (-2)^iness
+            a, b, den = ax * ay - bx * by, ax * by + bx * ay, ex * ey
             if iness:
-                c = c * _minus_two_pow(iness)
-            prev = acc.get(d)
-            acc[d] = c if prev is None else prev + c
-    return Morphism(y.dom, x.cod, acc)
+                f = (-2) ** iness
+                a *= f
+                b *= f
+            e = acc.get(d)
+            if e is None:
+                acc[d] = [a, b, den]
+            elif e[2] == den:
+                e[0] += a
+                e[1] += b
+            else:
+                add_rescaled(e, a, b, den)
+    return Morphism._from_sums(y.dom, x.cod, acc)
 
 
 # -- generator morphisms ----------------------------------------------------

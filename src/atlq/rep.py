@@ -56,7 +56,7 @@ from sys import intern
 
 from .config import CACHE_CLEARS
 from .diagram import AnnularDiagram, Morphism, Point
-from .scalar import I, MINUS_I, MINUS_ONE, ONE, ZERO, Combination, GaussianRational, mul_i_pow
+from .scalar import I, MINUS_I, MINUS_ONE, ONE, ZERO, Combination, GaussianRational, accumulate
 
 
 def sign_strings(n: int) -> list[str]:
@@ -88,17 +88,15 @@ class WeightMap(Combination):
         """Matrix product self . other (other applied first)."""
         if self.dom != other.cod:
             raise ValueError("shape mismatch in product")
-        by_row: dict[str, list[tuple[str, GaussianRational]]] = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        acc: dict[tuple[str, str], GaussianRational] = {}
+        by_row: dict[str, list[tuple[str, int, int, int]]] = {}
+        for (r, c), w in other.entries.items():
+            by_row.setdefault(r, []).append((c, w.a, w.b, w.d))
+        acc: dict[tuple[str, str], list[int]] = {}
         for (r, mid), v in self.entries.items():
-            for c, w in by_row.get(mid, ()):
-                key = (r, c)
-                prev = acc.get(key)
-                val = v * w
-                acc[key] = val if prev is None else prev + val
-        return WeightMap(other.dom, self.cod, acc)
+            va, vb, vd = v.a, v.b, v.d
+            for c, wa, wb, wd in by_row.get(mid, ()):
+                accumulate(acc, (r, c), va * wa - vb * wb, va * wb + vb * wa, vd * wd)
+        return WeightMap._from_sums(other.dom, self.cod, acc)
 
     def tensor(self, other: WeightMap) -> WeightMap:
         entries = {}
@@ -237,9 +235,15 @@ def phi_diagram(d: AnnularDiagram) -> WeightMap:
 
 
 def phi(x: Morphism) -> WeightMap:
-    return WeightMap._sum(x.dom, x.cod, (
-        (key, mul_i_pow(c, k)) for d, c in x.terms.items() for key, k in _phases(d)
-    ))
+    acc: dict[tuple[str, str], list[int]] = {}
+    for d, c in x.terms.items():
+        a, b, den = c.a, c.b, c.d
+        # c * i^k: each factor i sends (a, b) to (-b, a)
+        turned = ((a, b), (-b, a), (-a, -b), (b, -a))
+        for key, k in _phases(d):
+            ra, rb = turned[k]
+            accumulate(acc, key, ra, rb, den)
+    return WeightMap._from_sums(x.dom, x.cod, acc)
 
 
 def extremal_matrix(m: int) -> WeightMap:

@@ -16,6 +16,12 @@ coefficient left implicit:
 `Combination` is a finite sum of keys with coefficients in Q(i), read as
 a map dom -> cod.  Both linear objects of the package are such sums: a
 `Morphism` sums diagrams, a `WeightMap` sums matrix units.
+
+The loops that fold a product into such a sum (`diagram.mor_compose`,
+`rep.phi`, `WeightMap.__mul__`) never build a `GaussianRational` per
+pair.  They add raw integer numerators with `accumulate`, rescaling only
+where denominators differ, and `Combination._from_sums` reduces each
+output key once: one gcd per key, not one per multiply and add.
 """
 
 from __future__ import annotations
@@ -189,6 +195,7 @@ class GaussianRational:
 
 
 _new = object.__new__
+_setattr = object.__setattr__
 _set_a = GaussianRational.a.__set__
 _set_b = GaussianRational.b.__set__
 _set_d = GaussianRational.d.__set__
@@ -209,27 +216,38 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
     return z
 
 
-def mul_i_pow(z: GaussianRational, k: int) -> GaussianRational:
-    """z * i**k, without a gcd.
+# -- unreduced sums --------------------------------------------------------
+#
+# A sum being folded maps each key to a list [a, b, d] of ints meaning
+# (a + b*i)/d, not reduced.  Adding a value over the entry's denominator
+# is two int adds; any other denominator rescales both to their lcm, never
+# to their product, so d stays bounded by the lcm of the values added.
+# `Combination._from_sums` reduces each entry once, at the end.
 
-    Multiplying by i sends (a, b) to (-b, a) and keeps d, so the form
-    stays reduced; k = 0 (mod 4) returns z itself.
-    """
-    k &= 3
-    if not k:
-        return z
-    a, b = z.a, z.b
-    if k == 1:
-        a, b = -b, a
-    elif k == 2:
-        a, b = -a, -b
+
+def accumulate(acc: dict, key, a: int, b: int, d: int) -> None:
+    """Add (a + b*i)/d, for ints a, b and d > 0, to the sum acc[key]."""
+    e = acc.get(key)
+    if e is None:
+        acc[key] = [a, b, d]
+    elif e[2] == d:
+        e[0] += a
+        e[1] += b
     else:
-        a, b = b, -a
-    w = _new(GaussianRational)
-    _set_a(w, a)
-    _set_b(w, b)
-    _set_d(w, z.d)
-    return w
+        add_rescaled(e, a, b, d)
+
+
+def add_rescaled(e: list, a: int, b: int, d: int) -> None:
+    """Add (a + b*i)/d to the entry e = [a', b', d'] over lcm(d, d')."""
+    m = lcm(e[2], d)
+    if m != e[2]:
+        f = m // e[2]
+        e[0] *= f
+        e[1] *= f
+        e[2] = m
+    f = m // d
+    e[0] += a * f
+    e[1] += b * f
 
 
 ZERO = GaussianRational(0)
@@ -261,11 +279,15 @@ class Combination:
         clean = {}
         for k, c in (terms or {}).items():
             if key_shape(k) != shape:
-                kd, kc = key_shape(k)
-                raise ValueError(f"a {kd}->{kc} term does not fit {type(self).__name__} {dom}->{cod}")
+                raise self._misfit(k, dom, cod)
             if c:
                 clean[k] = c
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _misfit(cls, key, dom: int, cod: int) -> ValueError:
+        kd, kc = cls._key_shape(key)
+        return ValueError(f"a {kd}->{kc} term does not fit {cls.__name__} {dom}->{cod}")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -286,6 +308,24 @@ class Combination:
             prev = acc.get(k)
             acc[k] = c if prev is None else prev + c
         return cls(dom, cod, acc)
+
+    @classmethod
+    def _from_sums(cls, dom: int, cod: int, acc: dict):
+        """The combination of the unreduced sums of `accumulate`, each reduced once."""
+        shape = (dom, cod)
+        key_shape = cls._key_shape
+        clean = {}
+        for k, (a, b, d) in acc.items():
+            if key_shape(k) != shape:
+                raise cls._misfit(k, dom, cod)
+            if a or b:
+                clean[k] = _make(a, b, d)
+        # set the slots directly: __init__ would check every key again
+        out = _new(cls)
+        _setattr(out, "dom", dom)
+        _setattr(out, "cod", cod)
+        _setattr(out, "terms", clean)
+        return out
 
     # -- linear structure ---------------------------------------------------
 

@@ -4,12 +4,16 @@ Everything here takes an explicit random.Random so failures reproduce
 from the seed alone.  `reference_compose` is the dict-based diagram
 composition that the int-coded `diagram.compose` replaced, and
 `reference_phi_diagram` the word-based weight functor that the strand
-tracing of `rep.phi_diagram` replaced; both are kept as test oracles.
+tracing of `rep.phi_diagram` replaced.  `reference_mor_compose` and
+`reference_weightmap_mul` fold their products through `GaussianRational`
+arithmetic, reduced at every step, as the engine did before it summed
+raw integer numerators.  All are kept as test oracles.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from atlq import (
     Morphism,
@@ -26,9 +30,10 @@ from atlq import (
     jones_wenzl,
     lowest_weight,
 )
-from atlq.diagram import AnnularDiagram, Arc, Point, _intern, _KIND_ORDER, point_key
+from atlq.config import MODE_QUOTIENT, get_config
+from atlq.diagram import AnnularDiagram, Arc, Point, _intern, _KIND_ORDER, compose, point_key
 from atlq.rep import WeightMap, sign_strings
-from atlq.scalar import I, MINUS_I, ONE, GaussianRational
+from atlq.scalar import I, MINUS_I, MINUS_TWO, ONE, GaussianRational
 
 
 def random_single_diagram(rng: random.Random, n: int, length: int) -> Morphism:
@@ -73,10 +78,32 @@ def compose_word(word: list[Morphism], n: int) -> Morphism:
     return out
 
 
+def projector_family() -> list[Morphism]:
+    """T_2..T_5, JW_2..JW_6, H_2..H_4 and L_2..L_4."""
+    built = [extremal(m) for m in range(2, 6)] + [jones_wenzl(m) for m in range(2, 7)]
+    return built + [highest_weight(m) for m in range(2, 5)] + [lowest_weight(m) for m in range(2, 5)]
+
+
+# denominators of the coefficients drawn below: powers of 2 and their
+# multiples by 3, so that sums meet unequal denominators
+DENOMINATORS = (1, 2, 3, 4, 6, 8)
+
+
+def random_combination(rng: random.Random, diagrams: list, size: int) -> Morphism:
+    """Up to `size` of the given diagrams of one shape, with random coefficients."""
+    d0 = diagrams[0]
+    terms = {}
+    for d in rng.sample(diagrams, min(size, len(diagrams))):
+        terms[d] = GaussianRational(
+            Fraction(rng.randint(-4, 4), rng.choice(DENOMINATORS)),
+            Fraction(rng.randint(-4, 4), rng.choice(DENOMINATORS)),
+        )
+    return Morphism(d0.dom, d0.cod, terms)
+
+
 def reference_inputs(mode: str) -> list:
     """Distinct diagrams from the projector builds and seeded products, sorted."""
-    built = [extremal(m) for m in range(2, 6)] + [jones_wenzl(m) for m in range(2, 7)]
-    built += [highest_weight(m) for m in range(2, 5)] + [lowest_weight(m) for m in range(2, 5)]
+    built = projector_family()
     rng = random.Random(f"compose-{mode}")
     with configure(mode=mode):
         for _ in range(150):
@@ -257,6 +284,45 @@ def reference_compose(inner: AnnularDiagram, outer: AnnularDiagram):
     k, iness2, ess = _reduce_seam(partner, ka + outer.seam, inner.ess + outer.ess)
     diagram = _intern(inner.dom, outer.cod, k, ess, _partner_to_arcs(partner))
     return diagram, iness + iness2, ess
+
+
+# -- products folded through GaussianRational ------------------------------
+
+
+def reference_mor_compose(x: Morphism, y: Morphism) -> Morphism:
+    """Categorical composition x after y."""
+    if x.dom != y.cod:
+        raise ValueError(f"cannot compose {x.dom}->{x.cod} after {y.dom}->{y.cod}")
+    quotient = get_config().mode == MODE_QUOTIENT
+    acc: dict[AnnularDiagram, GaussianRational] = {}
+    for dy, cy in y.terms.items():
+        for dx, cx in x.terms.items():
+            d, iness, _ = compose(dy, dx)
+            if quotient and d.ess:
+                continue
+            c = cx * cy
+            if iness:
+                c = c * MINUS_TWO**iness
+            prev = acc.get(d)
+            acc[d] = c if prev is None else prev + c
+    return Morphism(y.dom, x.cod, acc)
+
+
+def reference_weightmap_mul(x: WeightMap, y: WeightMap) -> WeightMap:
+    """Matrix product x . y (y applied first)."""
+    if x.dom != y.cod:
+        raise ValueError("shape mismatch in product")
+    by_row: dict[str, list[tuple[str, GaussianRational]]] = {}
+    for (r, c), v in y.entries.items():
+        by_row.setdefault(r, []).append((c, v))
+    acc: dict[tuple[str, str], GaussianRational] = {}
+    for (r, mid), v in x.entries.items():
+        for c, w in by_row.get(mid, ()):
+            key = (r, c)
+            prev = acc.get(key)
+            val = v * w
+            acc[key] = val if prev is None else prev + val
+    return WeightMap(y.dom, x.cod, acc)
 
 
 # -- the weight functor by generator words ---------------------------------

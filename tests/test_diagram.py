@@ -40,7 +40,14 @@ from atlq.diagram import (
 )
 from atlq.scalar import HALF, MINUS_TWO, ONE
 
-from helpers import random_single_diagram, reference_compose, reference_inputs
+from helpers import (
+    projector_family,
+    random_combination,
+    random_single_diagram,
+    reference_compose,
+    reference_inputs,
+    reference_mor_compose,
+)
 
 
 def only_diagram(m: Morphism):
@@ -185,6 +192,29 @@ def test_compose_matches_reference(mode):
     assert str(got_err.value) == str(want_err.value)
 
 
+@pytest.mark.parametrize("mode", ["quotient", "raw"])
+def test_mor_compose_matches_reference(mode):
+    # the integer fold gives the terms of the GaussianRational fold, in the
+    # same key order
+    by_shape: dict[tuple[int, int], list] = {}
+    for d in reference_inputs(mode):
+        by_shape.setdefault((d.dom, d.cod), []).append(d)
+    family = projector_family()
+    rng = random.Random(f"mor-compose-{mode}")
+    pairs = [(x, y) for x in family for y in family if x.dom == y.cod]
+    shapes = sorted(by_shape)
+    for _ in range(400):
+        m, k = rng.choice(shapes)
+        n = rng.choice([c for dom, c in shapes if dom == k])
+        y = random_combination(rng, by_shape[(m, k)], rng.randint(1, 12))
+        x = random_combination(rng, by_shape[(k, n)], rng.randint(1, 12))
+        pairs.append((x, y))
+    with configure(mode=mode):
+        for x, y in pairs:
+            got, want = x * y, reference_mor_compose(x, y)
+            assert list(got.terms.items()) == list(want.terms.items())
+
+
 def test_quotient_mode_drops_essential_circles():
     # Closing the rotation into a loop winds once around the core: the
     # term vanishes in quotient mode and stays as a circle count in raw
@@ -258,6 +288,15 @@ def test_memoized_generator_is_still_guarded():
             d_diagram(5, 1)
         with pytest.raises(ValueError, match="exceeds the configured limit"):
             cup_diagram(2, 0)
+
+
+def test_generators_take_keyword_arguments():
+    # the memo binds keywords to the signature before the guard and the lookup
+    assert d_diagram(3, e=-1) is d_diagram(3, -1)
+    assert cup_diagram(n=3, i=1) is cup_diagram(3, 1)
+    with configure(max_strands=4):
+        with pytest.raises(ValueError, match="exceeds the configured limit"):
+            cup_diagram(n=3, i=1)
 
 
 # -- morphism algebra --------------------------------------------------------

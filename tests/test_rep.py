@@ -22,7 +22,15 @@ from atlq.diagram import make_diagram
 from atlq.rep import phi_diagram, rank_of_columns, sign_strings, solve_columns
 from atlq.scalar import I, MINUS_I, MINUS_ONE, ONE, TWO, ZERO
 
-from helpers import compose_word, random_word, reference_inputs, reference_phi_diagram
+from helpers import (
+    compose_word,
+    projector_family,
+    random_combination,
+    random_word,
+    reference_inputs,
+    reference_phi_diagram,
+    reference_weightmap_mul,
+)
 
 
 # -- frozen generator images -------------------------------------------------
@@ -119,6 +127,39 @@ def test_phi_diagram_matches_reference(mode):
         assert got == reference_phi_diagram(d)
         if d.ess:
             assert got.is_zero()
+
+
+def _seeded_combinations(mode: str) -> list:
+    """Seeded combinations of the reference diagrams, three of each shape."""
+    by_shape: dict[tuple[int, int], list] = {}
+    for d in reference_inputs(mode):
+        by_shape.setdefault((d.dom, d.cod), []).append(d)
+    rng = random.Random(f"phi-{mode}")
+    return [random_combination(rng, ds, rng.randint(1, 12))
+            for _, ds in sorted(by_shape.items()) for _ in range(3)]
+
+
+@pytest.mark.parametrize("mode", ["quotient", "raw"])
+def test_phi_is_the_sum_of_its_diagram_images(mode):
+    for x in projector_family() + _seeded_combinations(mode):
+        want = WeightMap._sum(x.dom, x.cod, (
+            (key, c * v) for d, c in x.terms.items() for key, v in phi_diagram(d).entries.items()
+        ))
+        assert list(phi(x).entries.items()) == list(want.entries.items())
+
+
+@pytest.mark.parametrize("mode", ["quotient", "raw"])
+def test_weightmap_mul_matches_reference(mode):
+    # the integer fold gives the entries of the GaussianRational fold, in
+    # the same key order
+    family = [phi(x) for x in projector_family()]
+    maps = family + [phi(x) for x in _seeded_combinations(mode)]
+    rng = random.Random(f"weightmap-mul-{mode}")
+    pairs = [(a, b) for a in family for b in family if a.dom == b.cod]
+    pairs += [(a, rng.choice([b for b in maps if b.cod == a.dom])) for a in maps]
+    for a, b in pairs:
+        got, want = a * b, reference_weightmap_mul(a, b)
+        assert list(got.entries.items()) == list(want.entries.items())
 
 
 # -- algebra -----------------------------------------------------------------

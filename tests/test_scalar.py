@@ -3,7 +3,7 @@
 import copy
 import pickle
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -20,7 +20,7 @@ from atlq.scalar import (
     ZERO,
     Combination,
     GaussianRational,
-    mul_i_pow,
+    accumulate,
 )
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=10**4)
@@ -143,15 +143,6 @@ def test_kernel_matches_fraction_pairs(p, q, r, s, k):
         assert _reduced(a**k) == _pair_pow((p, q), k)
 
 
-@given(gaussians, st.integers(0, 7))
-def test_mul_i_pow_is_multiplication_by_a_unit(z, k):
-    w = mul_i_pow(z, k)
-    assert w == z * I**k
-    assert _reduced(w) == _reduced(z * I**k)
-    if k % 4 == 0:
-        assert w is z
-
-
 @pytest.mark.parametrize(
     "x, y",
     [
@@ -165,6 +156,44 @@ def test_mul_i_pow_is_multiplication_by_a_unit(z, k):
 def test_equal_values_have_one_form(x, y):
     assert x == y and hash(x) == hash(y)
     assert (x.a, x.b, x.d) == (y.a, y.b, y.d)
+
+
+# -- unreduced sums against Fraction sums --------------------------------------
+
+_UNITS = [("+", "+"), ("+", "-"), ("-", "+"), ("-", "-")]
+
+
+@given(st.lists(st.tuples(
+    st.sampled_from(_UNITS),
+    st.integers(-50, 50),
+    st.integers(-50, 50),
+    st.sampled_from((1, 2, 3, 4, 6, 8)),
+)))
+def test_accumulate_matches_fraction_sums(adds):
+    acc: dict = {}
+    want: dict = {}
+    dens: dict = {}
+    for key, a, b, d in adds:
+        accumulate(acc, key, a, b, d)
+        re, im = want.get(key, (Fraction(0), Fraction(0)))
+        want[key] = (re + Fraction(a, d), im + Fraction(b, d))
+        dens[key] = lcm(dens.get(key, 1), d)
+    assert list(acc) == list(want)
+    for key, (a, b, d) in acc.items():
+        assert (Fraction(a, d), Fraction(b, d)) == want[key]
+        # rescaled to the lcm of the denominators added, never their product
+        assert d == dens[key]
+    x = WeightMap._from_sums(1, 1, acc)
+    assert [(k, _reduced(v)) for k, v in x.entries.items()] == [
+        (k, v) for k, v in want.items() if any(v)
+    ]
+
+
+def test_accumulate_keeps_the_denominator_bounded():
+    acc: dict = {}
+    for j in range(1000):
+        accumulate(acc, "k", 1, -1, 4 if j % 2 else 2)
+    assert acc["k"] == [1500, -1500, 4]
 
 
 # -- finite sums: the core shared by Morphism and WeightMap -------------------
@@ -182,12 +211,16 @@ def test_combination_core(cls, key, misfit):
     assert issubclass(cls, Combination)
     x = cls(2, 2, {key: HALF})
     assert cls(2, 2, {key: ZERO}).terms == {}
+    assert cls._from_sums(2, 2, {key: [2, 0, 4]}) == x
+    assert cls._from_sums(2, 2, {key: [0, 0, 3]}).terms == {}
     assert (x - x).terms == {} and (x - x).is_zero()
     assert x + x == x.scale(2) and hash(x + x) == hash(x.scale(2))
     assert -x == x.scale(-1)
     assert cls.loads(x.dumps()) == x
     with pytest.raises(ValueError):
         cls(2, 2, {misfit: ONE})
+    with pytest.raises(ValueError):
+        cls._from_sums(2, 2, {misfit: [1, 0, 1]})
     with pytest.raises(ValueError):
         x + cls.zero(3, 3)
     with pytest.raises(AttributeError):
