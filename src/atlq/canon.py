@@ -4,12 +4,12 @@ Diagrams from 0 to 2n points (all boundary points on the outer circle)
 are in bijection with balanced label strings over {i, o}: walking the
 outer boundary clockwise, mark the endpoint where a strand leaves the
 boundary heading clockwise with "i" and the endpoint where it comes back
-with "o".  The matching is recovered greedily: repeatedly connect an "i"
-to the cyclically next unmatched "o"; pairs that wrap past the base point
-become seam-crossing arcs, stacked at seam levels ordered by their "i"
-position.  There are C(2n, n) such strings, matching the dimension of the
-quotient hom space, and the weight functor keeps their diagrams linearly
-independent.
+with "o".  The matching is recovered as cyclic bracket matching, which is
+unique: each "i" pairs with the "o" that closes it going clockwise.
+Pairs that wrap past the base point become seam-crossing arcs, stacked
+at seam levels ordered by their "i" position.  There are C(2n, n) such
+strings, matching the dimension of the quotient hom space, and the
+weight functor keeps their diagrams linearly independent.
 
 A general hom(a, b) flattens into hom(0, a+b) by bending all inputs up
 with nested cups (`f_apply`).  `coordinates` does that bend on weight
@@ -44,23 +44,19 @@ def matching_from_labels(labels: LabelString) -> AnnularDiagram:
         raise ValueError("labels must be 'i' or 'o'")
     if labels.count("i") != labels.count("o"):
         raise ValueError("label string must be balanced")
-    unmatched = set(range(n2))
+    # cyclic bracket matching: an "o" closes the latest open "i"; the "o"s
+    # found with nothing open close the "i"s left open, around the base point
+    stack: list[int] = []
     pairs: list[tuple[int, int]] = []
-    while unmatched:
-        progress = False
-        for k in sorted(unmatched):
-            if labels[k] != "i":
-                continue
-            pos = (k + 1) % n2
-            while pos not in unmatched:
-                pos = (pos + 1) % n2
-            if labels[pos] == "o":
-                pairs.append((k, pos))
-                unmatched.discard(k)
-                unmatched.discard(pos)
-                progress = True
-                break
-        assert progress, "balanced strings always leave an adjacent i-o pair"
+    early: list[int] = []
+    for k, label in enumerate(labels):
+        if label == "i":
+            stack.append(k)
+        elif stack:
+            pairs.append((stack.pop(), k))
+        else:
+            early.append(k)
+    pairs += zip(reversed(stack), early)
     arcs: list = []
     wraps = sorted((k, l) for k, l in pairs if l < k)
     for level, (k, l) in enumerate(wraps):

@@ -3,9 +3,10 @@
 Every canonical diagram factors as a composition of caps, cups and
 rotations.  `factorize` finds such a word greedily: strip caps off the
 inner boundary and cups off the outer one, and while the seam is still
-crossed, pre- or post-compose with a rotation that lowers the crossing
-count.  The word is the backbone for the operations that have to resolve
-crossings:
+crossed, pre- or post-compose with one rotation that lowers the seam or
+exposes a cap or cup to strip; one rotation per step always suffices
+(the `factorize` docstring says why).  The word is the backbone for the
+operations that have to resolve crossings:
 
 * `iota` (add a strand on the right).  For a seam-free diagram this just
   appends a through strand.  A wound arc, however, crosses every radial
@@ -41,7 +42,7 @@ from .diagram import (
     make_diagram,
     mor_compose,
 )
-from .scalar import MINUS_TWO, GaussianRational
+from .scalar import MINUS_TWO
 
 # A letter is ("cap", n, i) | ("cup", n, i) | ("d", n, e), where n is the
 # arity of its domain; words list letters in application order.
@@ -80,52 +81,22 @@ def _rotate(d: AnnularDiagram, e: int, side: str) -> AnnularDiagram:
     return out
 
 
-def _seam_search(work: AnnularDiagram):
-    """Find rotations making the seam count drop or a cap/cup strippable.
-
-    Returns (diagram, pre_suffix, post_suffix): `work` equals the found
-    diagram pre-composed with pre_suffix and post-composed with post_suffix
-    (both in application order).  Breadth-first over rotation words; the
-    greedy single-rotation case is depth 1.
-    """
-    seen = {work}
-    frontier: list[tuple[AnnularDiagram, tuple[Letter, ...], tuple[Letter, ...]]] = [
-        (work, (), ())
-    ]
-    for _ in range(4):
-        nxt = []
-        for diag, pre, post in frontier:
-            moves = []
-            if diag.dom > 0:
-                moves += [("pre", 1), ("pre", -1)]
-            if diag.cod > 0:
-                moves += [("post", 1), ("post", -1)]
-            for side, e in moves:
-                cand = _rotate(diag, e, side)
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if side == "pre":
-                    pre2 = pre + (("d", diag.dom, -e),)
-                    post2 = post
-                else:
-                    pre2 = pre
-                    post2 = (("d", diag.cod, -e),) + post
-                if cand.seam < work.seam or (
-                    cand.seam <= work.seam
-                    and any(_find_turnback(cand, side) is not None for side in "IO")
-                ):
-                    return cand, pre2, post2
-                nxt.append((cand, pre2, post2))
-        frontier = nxt
-    raise RuntimeError(f"cannot reduce seam of {work}")
-
-
 def factorize(d: AnnularDiagram) -> tuple[Letter, ...]:
     """Write a canonical circle-free diagram as a generator word.
 
     The letters are applied first to last; recompose(word, d.dom) rebuilds
     the diagram with coefficient one.
+
+    Each step strips an adjacent cap (I_j, I_{j+1}) or cup (O_j, O_{j+1}),
+    or else applies one rotation: the first of d.D, d.D^-1, D.d, D^-1.d
+    that lowers the seam, or keeps it and exposes a cap or cup.  One
+    rotation always suffices once no adjacent cap or cup is left:
+
+    * an innermost input cap spans no endpoint, so it is the wrap pair
+      (I_{m-1}, I_0), and one pre-rotation makes it planar;
+    * the same holds for output cups with a post-rotation;
+    * with neither, every strand goes through, the diagram is D^w with
+      w != 0, and one rotation lowers the seam.
     """
     if d.ess:
         raise ValueError("cannot factorize a diagram carrying essential circles")
@@ -148,9 +119,19 @@ def factorize(d: AnnularDiagram) -> tuple[Letter, ...]:
             continue
         if work.seam == 0:
             break
-        work, pre_suffix, post_suffix = _seam_search(work)
-        pre.extend(pre_suffix)
-        post_rev.extend(reversed(post_suffix))
+        for side, e in (("pre", 1), ("pre", -1), ("post", 1), ("post", -1)):
+            n = work.dom if side == "pre" else work.cod
+            if n == 0:
+                continue
+            cand = _rotate(work, e, side)
+            if cand.seam < work.seam or (
+                cand.seam == work.seam and any(_find_turnback(cand, s) is not None for s in "IO")
+            ):
+                break
+        else:
+            raise RuntimeError(f"cannot reduce seam of {work}")
+        (pre if side == "pre" else post_rev).append(("d", n, -e))
+        work = cand
     # a seam-free matching with no caps or cups is all through strands,
     # and noncrossing through strands cannot permute
     assert work == id_diagram(work.dom), f"stuck at {work}"
@@ -271,23 +252,15 @@ def tensor(x: Morphism, y: Morphism) -> Morphism:
 
 
 def _tensor_planar(x: Morphism, y: Morphism) -> Morphism:
-    acc: dict[AnnularDiagram, GaussianRational] = {}
-    for dx, cx in x.terms.items():
-        for dy, cy in y.terms.items():
-            arcs = list(dx.arcs)
-            for p, q in dy.arcs:
-                arcs.append((_shift(p, x.dom, x.cod), _shift(q, x.dom, x.cod)))
-            d = make_diagram(x.dom + y.dom, x.cod + y.cod, 0, 0, arcs)
-            c = cx * cy
-            prev = acc.get(d)
-            acc[d] = c if prev is None else prev + c
-    return Morphism(x.dom + y.dom, x.cod + y.cod, acc)
+    def shift(p):
+        return (p[0], p[1] + (x.dom if p[0] == "I" else x.cod))
 
-
-def _shift(p, di: int, do: int):
-    if p[0] == "I":
-        return ("I", p[1] + di)
-    return ("O", p[1] + do)
+    right = [(tuple((shift(p), shift(q)) for p, q in dy.arcs), cy) for dy, cy in y.terms.items()]
+    dom, cod = x.dom + y.dom, x.cod + y.cod
+    return Morphism._sum(dom, cod, (
+        (make_diagram(dom, cod, 0, 0, dx.arcs + arcs), cx * cy)
+        for dx, cx in x.terms.items() for arcs, cy in right
+    ))
 
 
 def partial_trace(x: Morphism) -> Morphism:
@@ -295,21 +268,19 @@ def partial_trace(x: Morphism) -> Morphism:
     if x.dom < 1 or x.cod < 1:
         raise ValueError("partial trace needs at least one strand on each side")
     if is_planar(x):
-        acc: dict[AnnularDiagram, GaussianRational] = {}
         last_i, last_o = ("I", x.dom - 1), ("O", x.cod - 1)
-        for d, c in x.terms.items():
+
+        def closed(d, c):
             partner = d.partner_map()
             if partner[last_i] == last_o:
                 arcs = [a for a in d.arcs if last_i not in a]
                 c = c * MINUS_TWO
             else:
-                p, q = partner[last_i], partner[last_o]
                 arcs = [a for a in d.arcs if last_i not in a and last_o not in a]
-                arcs.append((p, q))
-            out = make_diagram(x.dom - 1, x.cod - 1, 0, 0, arcs)
-            prev = acc.get(out)
-            acc[out] = c if prev is None else prev + c
-        return Morphism(x.dom - 1, x.cod - 1, acc)
+                arcs.append((partner[last_i], partner[last_o]))
+            return make_diagram(x.dom - 1, x.cod - 1, 0, 0, arcs), c
+
+        return Morphism._sum(x.dom - 1, x.cod - 1, (closed(d, c) for d, c in x.terms.items()))
     return gen_cap(x.cod + 1, x.cod - 1) * iota(x) * gen_cup(x.dom - 1, x.dom - 1)
 
 

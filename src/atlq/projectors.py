@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .config import MODE_QUOTIENT, configure, guard, memo
 from .diagram import Morphism, crossing, gen_cap, gen_cup, gen_d, gen_id, gen_u
-from .planar import iota, iota_prime, nested_caps, nested_cups, partial_trace, tensor
+from .planar import iota, nested_caps, nested_cups, partial_trace, tensor
 from .rep import WeightMap, phi
 from .scalar import HALF, I, MINUS_I
 
@@ -76,7 +76,14 @@ def jones_wenzl(m: int) -> Morphism:
 
 @memo(lambda m: m)
 def extremal(m: int) -> Morphism:
-    """The extremal weight projector T_m; T_0 is twice the empty diagram."""
+    """The extremal weight projector T_m; T_0 is twice the empty diagram.
+
+    From m = 3 on it is the overlap product iota(T_{m-1}) . (id_{m-2} (x) T_2),
+    whose right factor grows: id_k (x) T_2 has 3, 6, 14, 35 and 90 terms for
+    k = 0..4.  `tensor` adds one strand at a time, which crosses every arc of
+    the U_0 term that wraps the seam, and each crossing resolves as id + U
+    into two diagrams; T_2 (x) id_k, built by iota, has the same counts.
+    """
     if m < 0:
         raise ValueError("negative strand count")
     if m == 0:
@@ -86,23 +93,7 @@ def extremal(m: int) -> Morphism:
     with configure(mode=MODE_QUOTIENT):
         if m == 2:
             return gen_id(2) + gen_u(2, 1).scale(HALF) + gen_u(2, 0).scale(HALF)
-        return iota(extremal(m - 1)) * _shifted(extremal, m - 2)
-
-
-@memo()
-def _shifted(family, k: int) -> Morphism:
-    """id_k (x) P_2 with P_2 = family(2), the right factor of the overlap product.
-
-    It is built one iota_prime at a time and grows with k: id_k (x) T_2
-    has 3, 6, 14, 35 and 90 terms for k = 0..4.  Each new strand crosses
-    every arc of the U_0 term that wraps the seam, and each crossing
-    resolves as id + U into two diagrams; T_2 (x) id_k, built by iota,
-    has the same counts.
-    """
-    with configure(mode=MODE_QUOTIENT):
-        if k == 0:
-            return family(2)
-        return iota_prime(_shifted(family, k - 1))
+        return iota(extremal(m - 1)) * tensor(gen_id(m - 2), extremal(2))
 
 
 def extremal_by_recursion(m: int) -> Morphism:
@@ -138,7 +129,7 @@ def highest_weight(m: int) -> Morphism:
             out = (gen_id(2) + dinv.scale(I)).scale(2) + u1 + gen_u(2, 0)
             out = out + (dinv * u1).scale(I) + (u1 * dinv).scale(I)
             return out.scale(Fraction(1, 4))
-        return iota(highest_weight(m - 1)) * _shifted(highest_weight, m - 2)
+        return iota(highest_weight(m - 1)) * tensor(gen_id(m - 2), highest_weight(2))
 
 
 def lowest_weight(m: int) -> Morphism:

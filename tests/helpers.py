@@ -125,6 +125,37 @@ def reference_inputs(mode: str) -> list:
     ))
 
 
+def wound_diagrams(rng: random.Random, count: int, length: int) -> list[AnnularDiagram]:
+    """Circle-free diagrams from seeded words of caps, cups, U_i and D^+-1.
+
+    Caps and cups move the arity between 0 and 8 strands, and each word
+    mostly rotates one way, so the seam piles up.  A letter that would
+    leave an essential circle is skipped; run this in quotient mode.
+    """
+    out = []
+    for _ in range(count):
+        x = gen_id(rng.randrange(7))
+        sign = rng.choice((1, -1))
+        for _ in range(rng.randrange(1, length + 1)):
+            n, r = x.cod, rng.random()
+            if r < 0.15 and n >= 2:
+                letter = gen_cap(n, rng.randrange(n - 1))
+            elif r < 0.3 and n <= 6:
+                letter = gen_cup(n, rng.randrange(n + 1))
+            elif r < 0.5 and n >= 2:
+                letter = gen_u(n, rng.randrange(n))
+            elif n >= 1:
+                letter = gen_d(n, sign if rng.random() < 0.85 else -sign)
+            else:
+                continue
+            nxt = letter * x
+            if not nxt.is_zero():
+                x = nxt
+        (d,) = x.terms
+        out.append(d)
+    return out
+
+
 # -- seam reduction -------------------------------------------------------
 
 

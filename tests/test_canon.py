@@ -1,5 +1,7 @@
 """Label-string basis, flattening, exact coordinates, quotient equality."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -53,6 +55,15 @@ def test_label_round_trip_exhaustive():
     for n_points in (2, 4, 6):
         for d in enumerate_basis(n_points):
             assert matching_from_labels(labels_from_matching(d)) is d
+
+
+def test_enumerate_basis_is_frozen():
+    # sha256 of the JSON of every basis diagram of hom(0, 2n), n <= 6, taken
+    # when labels were matched by rescanning for an adjacent "i" "o" pair
+    basis = [d.to_json_obj() for n in range(7) for d in enumerate_basis(2 * n)]
+    assert len(basis) == 1275
+    digest = hashlib.sha256(json.dumps(basis).encode()).hexdigest()
+    assert digest == "ce037887c3299c328c2b7c06b693bf50a9a96575ba0978d06ee903cc1d8bf512"
 
 
 def test_basis_counts():

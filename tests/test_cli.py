@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from atlq import Morphism, WeightMap, config, extremal, gen_u, jones_wenzl, phi
+from atlq import Morphism, WeightMap, config, extremal, gen_d, gen_u, jones_wenzl, phi, tensor
 from atlq.cli import load_operand, main
+from atlq.render import render_ascii, render_svg, render_tikz
 
 
 def run(capsys, *argv):
@@ -171,6 +172,9 @@ _ID_1 = {"seam": 0, "ess": 0, "arcs": [["I0", "O0"]]}
         (["eval", ".", "phi"], {}),
         (["render", "."], {}),
         (["projector", "extremal", "2", "--output", "missing/x.json"], {}),
+        (["eval", "id_2"], {}),
+        (["eval", "id_2", "tensor"], {}),
+        (["eval", "cap_2_0", "ptrace"], {}),
     ],
 )
 def test_bad_input_is_a_one_line_error(argv, files, tmp_path, monkeypatch, capsys):
@@ -219,3 +223,33 @@ def test_planar_ptrace_at_the_limit(capsys):
     assert code == 0
     traced = Morphism.from_json_obj(json.loads(out))
     assert (traced.dom, traced.cod) == (2, 2) and traced.terms
+
+
+_ZERO = {"dom": 1, "cod": 1, "terms": []}
+
+
+@pytest.mark.parametrize(
+    "argv, files, expect",
+    [
+        (["eval", "d_1", "u_2_1", "tensor"], {},
+         lambda: json.dumps(tensor(gen_d(1, 1), gen_u(2, 1)).to_json_obj(), indent=2)),
+        (["eval", "t_2", "phi"], {}, lambda: json.dumps(phi(extremal(2)).to_json_obj(), indent=2)),
+        (["projector", "extremal", "2", "--out", "tikz"], {}, lambda: render_tikz(extremal(2))),
+        (["render", "t_2", "--format", "tikz"], {}, lambda: render_tikz(extremal(2))),
+        (["render", "zero.json", "--format", "svg"], {"zero.json": _ZERO},
+         lambda: render_svg(Morphism.zero(1, 1))),
+        (["render", "zero.json", "--format", "tikz"], {"zero.json": _ZERO},
+         lambda: render_tikz(Morphism.zero(1, 1))),
+        (["render", "zero.json", "--format", "ascii"], {"zero.json": _ZERO},
+         lambda: render_ascii(Morphism.zero(1, 1))),
+    ],
+    ids=["eval-tensor", "eval-phi", "projector-tikz", "render-tikz",
+         "render-zero-svg", "render-zero-tikz", "render-zero-ascii"],
+)
+def test_command_prints_what_the_library_builds(argv, files, expect, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    code, out = run(capsys, *argv)
+    want = expect()
+    assert code == 0 and out == (want if want.endswith("\n") else want + "\n")

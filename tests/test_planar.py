@@ -1,5 +1,6 @@
 """Strand insertion, tensor, partial trace, factorization, essential circles."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from atlq import (
 from atlq.planar import ess_generator, iota_diagram, recompose
 from atlq.scalar import MINUS_ONE, MINUS_TWO, ONE
 
-from helpers import compose_word, random_single_diagram, random_word
+from helpers import compose_word, random_single_diagram, random_word, reference_inputs, wound_diagrams
 
 
 def only_diagram(m):
@@ -60,6 +61,39 @@ def test_factorize_round_trip_seeded():
         m = random_single_diagram(rng, n, 8)
         d = only_diagram(m)
         assert recompose(d.dom, factorize(d)).terms == {d: ONE}
+
+
+# sha256 of repr() of the factorize words, taken before factorize tried
+# one rotation per step instead of a breadth-first search over rotation
+# words: the words must not change
+FACTORIZE_DIGESTS = {
+    "quotient": "8f9f2f7e5559bbe4b6fcd6390236e03f7b2b1277e34da6afb7d3e26d4db12b2f",
+    "raw": "be36fc56d6d75b3dd3761edef8187270aebaac229996deab3439f5f2de5e776a",
+}
+WOUND_DIGEST = "98c385c39c6cb6bba455b8c2db6fdd8f2c2abc03e8e1c42adcb57551e9d61212"
+
+
+def _digest(words) -> str:
+    return hashlib.sha256(repr(words).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mode", sorted(FACTORIZE_DIGESTS))
+def test_factorize_words_are_frozen(mode):
+    words = [factorize(d) for d in reference_inputs(mode) if not d.ess]
+    assert _digest(words) == FACTORIZE_DIGESTS[mode]
+
+
+def test_factorize_round_trip_wound_words():
+    # caps and cups change the arity and one-way rotations pile up the
+    # seam; every diagram factorizes without raising and recomposes exactly
+    with configure(mode="quotient"):
+        pool = wound_diagrams(random.Random(20261018), 400, 40)
+        words = [factorize(d) for d in pool]
+        assert max(d.seam for d in pool) >= 10
+        assert any(d.dom != d.cod for d in pool)
+        for d, word in zip(pool, words):
+            assert recompose(d.dom, word).terms == {d: ONE}
+    assert _digest(words) == WOUND_DIGEST
 
 
 def test_factorize_rejects_essential_circles():

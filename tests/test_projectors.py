@@ -300,6 +300,16 @@ def test_projector_output_is_frozen(kind):
     assert _output_digest(kind) == FROZEN_DIGESTS[kind]
 
 
+def test_extremal_6_is_frozen():
+    # the same digest for T_6 alone, taken when the right factor
+    # id_4 (x) T_2 of its overlap product came from its own memo
+    x = extremal(6)
+    text = x.dumps() + "\n" + phi(x).dumps() + "\n"
+    assert len(x.terms) == 1118
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "d56c97099456aa85ad4e285d8bbc77987645f2fee24a826e77fa9e388fc5fe22"
+
+
 def test_results_survive_clear_caches(monkeypatch):
     before, props = extremal(4), verify_properties(3)
     # a wrapper patched over a public name must not hide the memo behind it

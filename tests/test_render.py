@@ -1,6 +1,8 @@
 """Rendering: deterministic bytes, valid headers, all three backends."""
 
-from atlq import configure, crossing, gen_d, gen_id, gen_u
+import pytest
+
+from atlq import Morphism, configure, crossing, gen_d, gen_id, gen_u
 from atlq.planar import ess_generator
 from atlq.render import render_ascii, render_svg, render_tikz
 from atlq.scalar import HALF
@@ -53,3 +55,14 @@ def test_multi_term_panels():
     m = gen_id(2) + gen_u(2, 1).scale(HALF)
     svg = render_svg(m)
     assert svg.count("<rect") >= 2
+
+
+@pytest.mark.parametrize(
+    "renderer, caption",
+    [(render_svg, ">0</text>"), (render_tikz, "{$0$}"), (render_ascii, "0 : 2 -> 2\n")],
+    ids=["svg", "tikz", "ascii"],
+)
+def test_zero_morphism_renders_a_zero_panel(renderer, caption):
+    text = renderer(Morphism.zero(2, 2))
+    assert caption in text
+    assert text == renderer(gen_u(2, 1) - gen_u(2, 1)) != renderer(gen_id(2))
