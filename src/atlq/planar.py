@@ -3,10 +3,9 @@
 Every canonical diagram factors as a composition of caps, cups and
 rotations.  `factorize` finds such a word greedily: strip caps off the
 inner boundary and cups off the outer one, and while the seam is still
-crossed, pre- or post-compose with one rotation that lowers the seam or
-exposes a cap or cup to strip; one rotation per step always suffices
-(the `factorize` docstring says why).  The word is the backbone for the
-operations that have to resolve crossings:
+crossed, pre- or post-compose with one rotation that lowers the seam
+(the `factorize` docstring says why there is one).  The word is the
+backbone for the operations that have to resolve crossings:
 
 * `iota` (add a strand on the right).  For a seam-free diagram this just
   appends a through strand.  A wound arc, however, crosses every radial
@@ -89,8 +88,8 @@ def factorize(d: AnnularDiagram) -> tuple[Letter, ...]:
 
     Each step strips an adjacent cap (I_j, I_{j+1}) or cup (O_j, O_{j+1}),
     or else applies one rotation: the first of d.D, d.D^-1, D.d, D^-1.d
-    that lowers the seam, or keeps it and exposes a cap or cup.  One
-    rotation always suffices once no adjacent cap or cup is left:
+    that lowers the seam.  One rotation lowering the seam always exists
+    once no adjacent cap or cup is left:
 
     * an innermost input cap spans no endpoint, so it is the wrap pair
       (I_{m-1}, I_0), and one pre-rotation makes it planar;
@@ -124,9 +123,7 @@ def factorize(d: AnnularDiagram) -> tuple[Letter, ...]:
             if n == 0:
                 continue
             cand = _rotate(work, e, side)
-            if cand.seam < work.seam or (
-                cand.seam == work.seam and any(_find_turnback(cand, s) is not None for s in "IO")
-            ):
+            if cand.seam < work.seam:
                 break
         else:
             raise RuntimeError(f"cannot reduce seam of {work}")

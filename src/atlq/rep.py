@@ -51,12 +51,14 @@ exactly at the same time.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
+from math import gcd, lcm
 from sys import intern
 
 from .config import CACHE_CLEARS
 from .diagram import AnnularDiagram, Morphism, Point
-from .scalar import I, MINUS_I, MINUS_ONE, ONE, ZERO, Combination, GaussianRational, accumulate
+from .scalar import I, MINUS_I, MINUS_ONE, ONE, ZERO, Combination, GaussianRational
+from .scalar import _make, accumulate
 
 
 def sign_strings(n: int) -> list[str]:
@@ -263,34 +265,68 @@ def extremal_matrix(m: int) -> WeightMap:
 # -- exact elimination ---------------------------------------------------------
 
 
-def _reduce(col: dict[str, GaussianRational], pivots) -> None:
-    """Subtract from col, in place, its multiple of each pivot in turn."""
-    for prow, pcol in pivots:
-        f = col.get(prow)
-        if f:
-            for r, v in pcol.items():
-                nv = col.get(r, ZERO) - f * v
-                if nv:
-                    col[r] = nv
-                else:
-                    col.pop(r, None)
+def _numerators(col: dict[str, GaussianRational]) -> tuple[int, dict]:
+    """col as Gaussian-integer numerators (a, b) over the lcm of its denominators."""
+    den = lcm(*(v.d for v in col.values()))
+    return den, {r: (v.a * (den // v.d), v.b * (den // v.d)) for r, v in col.items() if v}
 
 
-def _eliminate(cols) -> list[tuple[str, dict[str, GaussianRational]]]:
+def _reduce(den: int, col: dict, pivots) -> tuple[int, list]:
+    """Subtract from col, numerators over den, its multiple of each pivot in turn.
+
+    A pivot p is numerators over an int P, scaled to 1 at its row.  With f at
+    that row, col becomes (P col - f p) / (den P), with one gcd over col only
+    if P != 1 (never, for the diagram bases).  Returns the new den and the
+    multipliers (pivot index, a, b, d): col lost (a + b*i)/d times the pivot.
+    """
+    mults = []
+    for k, (prow, pden, pcol, _, _) in enumerate(pivots):
+        f = col.pop(prow, None)
+        if f is None:
+            continue
+        fa, fb = f
+        mults.append((k, fa, fb, den))
+        if pden != 1:
+            for r, (a, b) in col.items():
+                col[r] = (a * pden, b * pden)
+        for r, pa, pb in pcol:
+            ca, cb = col.get(r, (0, 0))
+            a = ca - fa * pa + fb * pb
+            b = cb - fa * pb - fb * pa
+            if a or b:
+                col[r] = (a, b)
+            else:
+                del col[r]
+        if pden != 1:
+            g = gcd(den * pden, *chain.from_iterable(col.values()))
+            den = den * pden // g
+            for r, (a, b) in col.items():
+                col[r] = (a // g, b // g)
+    return den, mults
+
+
+def _eliminate(cols) -> list:
     """Gaussian elimination on a sparse column family over Q(i).
 
-    Each column is reduced against the pivots found before it.  A column
-    that survives is scaled to 1 at its least row, its pivot row.  Returns
-    the (pivot row, normalized column) pairs, one per independent column.
+    Each column is reduced against the pivots before it.  One that survives
+    gives the next pivot at its least row: (row, P, [(other row, a, b)...],
+    the column's multipliers, its value (a, b, d) there, i.e. (a + b*i)/d).
     """
-    pivots: list[tuple[str, dict[str, GaussianRational]]] = []
+    pivots: list = []
     for col in cols:
-        col = {r: v for r, v in col.items() if v}
-        _reduce(col, pivots)
+        den, col = _numerators(col)
+        den, mults = _reduce(den, col, pivots)
         if col:
             prow = min(col)
-            inv = col[prow].inverse()
-            pivots.append((prow, {r: v * inv for r, v in col.items()}))
+            a, b = col.pop(prow)
+            # col / ((a + b*i)/den) = col * (a - b*i) / (a^2 + b^2)
+            pden = a * a + b * b
+            entries = [(r, x * a + y * b, y * a - x * b) for r, (x, y) in col.items()]
+            if pden != 1:
+                g = gcd(pden, *chain.from_iterable(e[1:] for e in entries))
+                pden //= g
+                entries = [(r, x // g, y // g) for r, x, y in entries]
+            pivots.append((prow, pden, entries, mults, (a, b, den)))
     return pivots
 
 
@@ -304,18 +340,25 @@ def solve_columns(
 ) -> list[GaussianRational] | None:
     """Exact coefficients writing target as a combination of cols, or None.
 
-    Raises ValueError unless the columns are linearly independent (which is
-    how this package uses it: the diagram basis maps to independent weight
-    maps).  Column j carries one extra tag row "~j", which sorts after every
-    sign string, so a pivot on a tag row marks a dependent column, and the
-    tag rows left in the reduced target hold minus its coefficients.
+    Raises ValueError unless the columns are linearly independent, as the
+    weight maps of a diagram basis are.  Column k is pi_k times pivot k plus
+    its multipliers g_kl times pivot l, and the target reduces to F_l times
+    pivot l; back substitution from the last column down gives
+    x_k = F_k / pi_k, then F_l -= x_k g_kl.
     """
-    tags = [f"~{j}" for j in range(len(cols))]
-    pivots = _eliminate({**col, tag: ONE} for col, tag in zip(cols, tags))
-    if any(prow.startswith("~") for prow, _ in pivots):
+    pivots = _eliminate(cols)
+    if len(pivots) < len(cols):
         raise ValueError("columns are linearly dependent")
-    rhs = {r: v for r, v in target.items() if v}
-    _reduce(rhs, pivots)
-    if any(not r.startswith("~") for r in rhs):
+    den, rhs = _numerators(target)
+    _, mults = _reduce(den, rhs, pivots)
+    if rhs:
         return None
-    return [-rhs.get(tag, ZERO) for tag in tags]
+    F = {k: _make(a, b, d) for k, a, b, d in mults}
+    x = [ZERO] * len(cols)
+    for k in reversed(range(len(cols))):
+        if F.get(k):
+            _, _, _, kmults, (a, b, d) = pivots[k]
+            xk = x[k] = F[k] / _make(a, b, d)
+            for l, ga, gb, gd in kmults:
+                F[l] = F.get(l, ZERO) - xk * _make(ga, gb, gd)
+    return x

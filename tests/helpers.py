@@ -7,6 +7,9 @@ composition that the int-coded `diagram.compose` replaced, and
 tracing of `rep.phi_diagram` replaced.  `reference_mor_compose` and
 `reference_weightmap_mul` fold their products through `GaussianRational`
 arithmetic, reduced at every step, as the engine did before it summed
+raw integer numerators.  `reference_rank_of_columns` and
+`reference_solve_columns` eliminate through `GaussianRational` too, with
+tag rows for the solution, as the engine did before it eliminated on
 raw integer numerators.  All are kept as test oracles.
 """
 
@@ -33,7 +36,7 @@ from atlq import (
 from atlq.config import MODE_QUOTIENT, get_config
 from atlq.diagram import AnnularDiagram, Arc, Point, _intern, _KIND_ORDER, compose, point_key
 from atlq.rep import WeightMap, sign_strings
-from atlq.scalar import I, MINUS_I, MINUS_TWO, ONE, GaussianRational
+from atlq.scalar import I, MINUS_I, MINUS_TWO, ONE, ZERO, GaussianRational
 
 
 def random_single_diagram(rng: random.Random, n: int, length: int) -> Morphism:
@@ -405,3 +408,64 @@ def reference_phi_diagram(d: AnnularDiagram) -> WeightMap:
         for row, v in state.items():
             entries[(row, col)] = v
     return WeightMap(d.dom, d.cod, entries)
+
+
+# -- exact elimination through GaussianRational ----------------------------
+
+
+def _reference_reduce(col: dict[str, GaussianRational], pivots) -> None:
+    """Subtract from col, in place, its multiple of each pivot in turn."""
+    for prow, pcol in pivots:
+        f = col.get(prow)
+        if f:
+            for r, v in pcol.items():
+                nv = col.get(r, ZERO) - f * v
+                if nv:
+                    col[r] = nv
+                else:
+                    col.pop(r, None)
+
+
+def _reference_eliminate(cols) -> list[tuple[str, dict[str, GaussianRational]]]:
+    """Gaussian elimination on a sparse column family over Q(i).
+
+    Each column is reduced against the pivots found before it.  A column
+    that survives is scaled to 1 at its least row, its pivot row.  Returns
+    the (pivot row, normalized column) pairs, one per independent column.
+    """
+    pivots: list[tuple[str, dict[str, GaussianRational]]] = []
+    for col in cols:
+        col = {r: v for r, v in col.items() if v}
+        _reference_reduce(col, pivots)
+        if col:
+            prow = min(col)
+            inv = col[prow].inverse()
+            pivots.append((prow, {r: v * inv for r, v in col.items()}))
+    return pivots
+
+
+def reference_rank_of_columns(cols: list[dict[str, GaussianRational]]) -> int:
+    """Rank of a sparse column family over Q(i), by Gaussian elimination."""
+    return len(_reference_eliminate(cols))
+
+
+def reference_solve_columns(
+    cols: list[dict[str, GaussianRational]], target: dict[str, GaussianRational]
+) -> list[GaussianRational] | None:
+    """Exact coefficients writing target as a combination of cols, or None.
+
+    Raises ValueError unless the columns are linearly independent.  Column
+    j carries one extra tag row "~j", which sorts after every sign string,
+    so a pivot on a tag row marks a dependent column, and the tag rows left
+    in the reduced target hold minus its coefficients.  A row of the
+    family's own named "~j" clashes with the tag: keep rows to sign strings.
+    """
+    tags = [f"~{j}" for j in range(len(cols))]
+    pivots = _reference_eliminate({**col, tag: ONE} for col, tag in zip(cols, tags))
+    if any(prow.startswith("~") for prow, _ in pivots):
+        raise ValueError("columns are linearly dependent")
+    rhs = {r: v for r, v in target.items() if v}
+    _reference_reduce(rhs, pivots)
+    if any(not r.startswith("~") for r in rhs):
+        return None
+    return [-rhs.get(tag, ZERO) for tag in tags]

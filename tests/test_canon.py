@@ -118,6 +118,37 @@ def test_coordinates_read_off_the_bent_diagram():
         assert [flat.terms.get(b, ZERO) for b in basis] == coordinates(x)
 
 
+# sha256 of ",".join(map(str, coordinates(x))) + "\n" over the sizes of each
+# kind, taken when the elimination ran on GaussianRational with tag rows
+COORDINATE_DIGESTS = {
+    "extremal": (
+        extremal, range(2, 6),
+        "969cb6a3fbf01418a3168b2daa7e352092cee1956d19536631deadb886cf25df",
+    ),
+    "jw": (
+        jones_wenzl, range(2, 7),
+        "5110d94d651cce147eb620ab0e81a401fbad2720cc2aae87b4f0d69f3d04cbf0",
+    ),
+    "highest": (
+        highest_weight, range(2, 5),
+        "004a3398c527207d460fd1c0a4f4c447faacaf94392a02e0c3b6baec27d90de0",
+    ),
+    "lowest": (
+        lowest_weight, range(2, 5),
+        "1180adf528dcd16cc5df5a24333e39d91efcb2fce0cb451cfd9c6e694b9ab83d",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COORDINATE_DIGESTS))
+def test_coordinates_are_frozen(kind):
+    build, sizes, want = COORDINATE_DIGESTS[kind]
+    digest = hashlib.sha256()
+    for m in sizes:
+        digest.update((",".join(map(str, coordinates(build(m)))) + "\n").encode())
+    assert digest.hexdigest() == want
+
+
 def test_coordinates_at_zero_strands():
     assert extremal_matrix(0).rank() == 1
     assert coordinates(extremal(0)) == [TWO]

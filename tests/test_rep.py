@@ -1,6 +1,7 @@
 """The weight functor and exact sparse linear algebra over Q(i)."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,8 @@ from helpers import (
     random_word,
     reference_inputs,
     reference_phi_diagram,
+    reference_rank_of_columns,
+    reference_solve_columns,
     reference_weightmap_mul,
 )
 
@@ -259,6 +262,12 @@ def test_solve_columns_rejects_dependent_family():
         solve_columns([{"": one}, {"": TWO}], {"": one})
 
 
+def test_solve_columns_takes_any_row_name():
+    # rows are only names: "~0" was once also the name of a hidden tag row
+    assert solve_columns([{"~0": ONE}], {"~0": TWO}) == [TWO]
+    assert solve_columns([{"~0": ONE}, {"~1": I}], {"~1": ONE}) == [ZERO, MINUS_I]
+
+
 small = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 gaussians = st.builds(GaussianRational, small, small)
 
@@ -287,17 +296,68 @@ def independent_family(draw):
     return cols
 
 
+def _combine(cols, coeffs) -> dict:
+    out: dict = {}
+    for c, col in zip(coeffs, cols):
+        for r, v in col.items():
+            out[r] = out.get(r, ZERO) + c * v
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(independent_family(), st.data())
 def test_solve_recovers_random_coefficients(cols, data):
     coeffs = [data.draw(gaussians) for _ in cols]
-    target: dict = {}
-    for c, col in zip(coeffs, cols):
-        for r, v in col.items():
-            target[r] = target.get(r, ZERO) + c * v
+    target = _combine(cols, coeffs)
     assert solve_columns(cols, target) == coeffs
     assert rank_of_columns(cols) == len(cols)
     assert rank_of_columns(cols + [target]) == len(cols)
+
+
+# pivot values whose inverse is no Gaussian integer: the pivot's numerators
+# need a denominator P != 1
+NON_UNIT_PIVOTS = [GaussianRational(1, 1), TWO, GaussianRational(Fraction(3, 4))]
+
+
+@st.composite
+def column_family(draw):
+    """(rows, columns): sparse columns over sign strings, maybe dependent.
+
+    Entries have mixed denominators; some columns combine earlier ones, and
+    some hold a non-unit entry at their least row.
+    """
+    rows = sign_strings(draw(st.integers(0, 3)))
+    cols = []
+    for _ in range(draw(st.integers(0, min(len(rows) + 1, 5)))):
+        if cols and draw(st.integers(0, 3)) == 0:
+            cols.append(_combine(cols, [draw(gaussians) for _ in cols]))
+            continue
+        support = draw(st.lists(st.sampled_from(rows), min_size=1, unique=True))
+        col = {r: draw(gaussians) for r in support}
+        if draw(st.booleans()):
+            col[min(col)] = draw(st.sampled_from(NON_UNIT_PIVOTS))
+        cols.append(col)
+    return rows, cols
+
+
+def _outcome(solve, cols, target):
+    try:
+        return solve(cols, target)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_family(), st.data())
+def test_elimination_matches_reference(family, data):
+    rows, cols = family
+    assert rank_of_columns(cols) == reference_rank_of_columns(cols)
+    if data.draw(st.booleans()):
+        target = _combine(cols, [data.draw(gaussians) for _ in cols])
+    else:
+        target = {r: data.draw(gaussians) for r in data.draw(st.lists(st.sampled_from(rows)))}
+    want = _outcome(reference_solve_columns, cols, target)
+    assert _outcome(solve_columns, cols, target) == want
 
 
 # -- serialization -----------------------------------------------------------
