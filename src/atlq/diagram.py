@@ -124,6 +124,9 @@ class AnnularDiagram:
         """Raise ValueError unless this is a canonical diagram."""
         if min(self.dom, self.cod, self.seam, self.ess) < 0:
             raise ValueError("negative size field")
+        # count first: the boundary is as long as the claimed seam
+        if 2 * len(self.arcs) != self.dom + self.cod + 2 * self.seam:
+            raise ValueError("arcs are not a perfect matching on the boundary")
         cycle = self.boundary_cycle()
         expected = set(cycle)
         seen = set()

@@ -30,6 +30,7 @@ from atlq import (
 from atlq.config import get_config
 from atlq.diagram import (
     _POOL,
+    AnnularDiagram,
     cap_diagram,
     compose,
     cup_diagram,
@@ -360,6 +361,20 @@ def test_json_shape_is_guarded_before_any_term_is_read():
     with configure(max_strands=3):
         with pytest.raises(ValueError, match="exceeds the configured limit"):
             Morphism.from_json_obj(wide)
+
+
+def test_json_seam_is_checked_against_the_arcs_first(monkeypatch):
+    # a claimed seam of 10^9 under one arc: building the boundary cycle
+    # first would cost memory in proportion to the claim
+    def no_cycle(self):
+        raise AssertionError("boundary cycle built before the arc count was checked")
+
+    monkeypatch.setattr(AnnularDiagram, "boundary_cycle", no_cycle)
+    deep = {"seam": 10**9, "ess": 0, "arcs": [["I0", "O0"]]}
+    before = len(_POOL)
+    with pytest.raises(ValueError, match="not a perfect matching"):
+        Morphism.from_json_obj({"dom": 1, "cod": 1, "terms": [{"coeff": "1", "diagram": deep}]})
+    assert len(_POOL) == before
 
 
 def test_diagram_interning():
