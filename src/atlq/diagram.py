@@ -51,7 +51,7 @@ import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 from .config import CACHE_CLEARS, MODE_QUOTIENT, get_config, guard, memo
-from .scalar import ONE, Combination, GaussianRational, add_rescaled
+from .scalar import ONE, Combination, GaussianRational, add_rescaled, json_int
 
 Point = tuple[str, int]
 Arc = tuple[Point, Point]
@@ -215,7 +215,8 @@ def _point_parse(s: str) -> Point:
 
 def diagram_from_json_obj(obj: dict, dom: int, cod: int) -> AnnularDiagram:
     arcs = [(_point_parse(p), _point_parse(q)) for p, q in obj["arcs"]]
-    d = AnnularDiagram(dom, cod, int(obj["seam"]), int(obj.get("ess", 0)), _norm_arcs(arcs))
+    seam, ess = json_int(obj["seam"], "seam"), json_int(obj.get("ess", 0), "ess")
+    d = AnnularDiagram(dom, cod, seam, ess, _norm_arcs(arcs))
     # validate before interning, so that a rejected diagram stays out of the pool
     d.validate()
     return _intern(d.dom, d.cod, d.seam, d.ess, d.arcs)
@@ -486,7 +487,7 @@ class Morphism(Combination):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> Morphism:
-        dom, cod = int(obj["dom"]), int(obj["cod"])
+        dom, cod = json_int(obj["dom"], "dom"), json_int(obj["cod"], "cod")
         # guard the shape before any term is read: validating a term walks
         # its whole claimed boundary
         guard(dom)

@@ -28,7 +28,9 @@ The constructions of the product formula (T_m (x) T_n, its complement
 e_{m,n} and the isomorphisms splitting e_{m,n}) are each written once,
 over an evaluator that supplies the leaves: expanded diagrams for the
 public constructors, leaf weight maps (WEIGHTS) for the structural
-checks.
+checks, where T_m is phi_extremal(m): the overlap product on weight maps,
+pinned to the T_m diagrams up to the technical suite's size cap and to
+the two-entry oracle up to the cap plus two.
 """
 
 from __future__ import annotations
@@ -328,31 +330,22 @@ def kariso_contract(m: int, n: int) -> Morphism:
 
 
 # -- structural checks -------------------------------------------------------
-#
-# The one size threshold left is _EXPAND_LIMIT in phi_extremal.  It does
-# not choose a route for a check; it says which T_m are built as
-# diagrams at all.  Up to six strands phi(T_m) is taken from the diagram
-# itself, which pins every T_3..T_6 diagram to extremal_matrix; beyond
-# that the expansion outgrows any sane budget.
-
-_EXPAND_LIMIT = 6
 
 
 @memo(lambda m: m)
 def phi_extremal(m: int) -> WeightMap:
-    """The weight map of T_m.
-
-    Up to six strands the projector is expanded and evaluated term by
-    term.  Beyond that the expansion outgrows any sane budget (about six
-    thousand terms at m = 7, five times that at m = 8), so the map is
-    assembled from the ascending product of leaf weight maps instead:
+    """The weight map of T_m, from the overlap product on weight maps:
 
         phi(T_m) = (phi(T_{m-1}) (x) id_1) . (id_{m-2} (x) phi(T_2)).
+
+    phi is monoidal, so no T_m is expanded.  The loop never calls
+    phi_extremal, so a patched one cannot feed a wrong T_{m-1} into the memo.
     """
-    if m <= _EXPAND_LIMIT:
-        return phi(extremal(m))
-    lifted = phi_extremal(m - 1).tensor(WeightMap.identity(1))
-    return lifted * WeightMap.identity(m - 2).tensor(phi_extremal(2))
+    base = phi(extremal(2))
+    out = phi(extremal(min(m, 2)))
+    for k in range(3, m + 1):
+        out = out.tensor(WeightMap.identity(1)) * WeightMap.identity(k - 2).tensor(base)
+    return out
 
 
 def iso_diff_maps(m: int, n: int) -> tuple[WeightMap, WeightMap]:

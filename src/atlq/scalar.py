@@ -260,6 +260,13 @@ MINUS_I = GaussianRational(0, -1)
 HALF = GaussianRational(Fraction(1, 2))
 
 
+def json_int(value, name: str) -> int:
+    """The JSON field `name` as an int; a bool, string or float is refused."""
+    if type(value) is not int:
+        raise ValueError(f"{name!r} must be a JSON integer, not {value!r}")
+    return value
+
+
 class Combination:
     """A finite Q(i)-linear combination of keys, with a shape dom -> cod.
 

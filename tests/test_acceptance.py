@@ -97,6 +97,8 @@ def test_c05_extremal_projectors():
                 failures.append(f"m={m}: weight map is not the oracle")
         for m in range(1, 7):
             t = extremal(m)
+            if phi(t) != extremal_matrix(m):
+                failures.append(f"m={m}: weight map of the diagram is not the oracle")
             if phi_chain(t, t) != phi_extremal(m):
                 failures.append(f"m={m}: T_m not idempotent in the quotient")
         return not failures, failures

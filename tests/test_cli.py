@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from atlq import Morphism, WeightMap, config, extremal, gen_d, gen_u, jones_wenzl, phi, tensor
-from atlq.cli import load_operand, main
+from atlq.cli import PROJECTOR_KINDS, load_operand, main
 from atlq.render import render_ascii, render_svg, render_tikz
 
 
@@ -31,6 +31,17 @@ def test_projector_json_zero_strands(capsys):
     obj = json.loads(out)
     assert obj["terms"][0]["coeff"] == "2"
     assert Morphism.from_json_obj(obj) == extremal(0)
+
+
+@pytest.mark.parametrize("kind", sorted(PROJECTOR_KINDS))
+def test_projector_output_loads_back(kind, capsys):
+    build, least = PROJECTOR_KINDS[kind]
+    for m in range(least, 4):
+        for out, cls in (("json", Morphism), ("matrix", WeightMap)):
+            code, text = run(capsys, "projector", kind, str(m), "--out", out)
+            assert code == 0
+            x = cls.from_json_obj(json.loads(text))
+            assert x == (build(m) if cls is Morphism else phi(build(m)))
 
 
 def test_projector_matrix_output(capsys):
@@ -175,12 +186,24 @@ _ID_1 = {"seam": 0, "ess": 0, "arcs": [["I0", "O0"]]}
         (["eval", "id_2"], {}),
         (["eval", "id_2", "tensor"], {}),
         (["eval", "cap_2_0", "ptrace"], {}),
+        (["eval", "deep.json", "id_1", "compose"], {"deep.json": "[" * 100000 + "]" * 100000}),
+        (["eval", "str.json", "phi"],
+         {"str.json": {"dom": "1", "cod": 1, "terms": [{"diagram": _ID_1, "coeff": "1"}]}}),
+        (["eval", "bool.json", "phi"],
+         {"bool.json": {"dom": 1, "cod": True, "terms": [{"diagram": _ID_1, "coeff": "1"}]}}),
+        (["eval", "seam.json", "phi"],
+         {"seam.json": {"dom": 1, "cod": 1,
+                        "terms": [{"diagram": {**_ID_1, "seam": False}, "coeff": "1"}]}}),
+        (["eval", "ess.json", "phi"],
+         {"ess.json": {"dom": 1, "cod": 1,
+                       "terms": [{"diagram": {**_ID_1, "ess": 0.0}, "coeff": "1"}]}}),
     ],
 )
 def test_bad_input_is_a_one_line_error(argv, files, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, obj in files.items():
-        (tmp_path / name).write_text(json.dumps(obj))
+        # a string is the file's text as it stands, for input json cannot write
+        (tmp_path / name).write_text(obj if isinstance(obj, str) else json.dumps(obj))
     # leading NAME=value words set the environment, as in a shell; main
     # runs in an empty context, where the config is read from it afresh
     argv = list(argv)

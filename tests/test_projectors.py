@@ -111,8 +111,10 @@ def test_extremal_term_growth():
 
 
 def test_extremal_weight_oracle():
-    for m in range(5):
+    # T_6 is pinned by test_extremal_6_is_frozen
+    for m in range(6):
         assert phi_extremal(m) == extremal_matrix(m)
+        assert phi(extremal(m)) == extremal_matrix(m)
 
 
 def test_extremal_idempotent_in_quotient():

@@ -375,3 +375,9 @@ def test_json_repeated_entries_add():
     assert WeightMap.from_json_obj(twice) == WeightMap(1, 1, {("+", "+"): TWO})
     cancel = {"dom": 1, "cod": 1, "entries": [["+", "+", "1"], ["+", "+", "-1"]]}
     assert WeightMap.from_json_obj(cancel).is_zero()
+
+
+@pytest.mark.parametrize("dom", ["1", True, 1.0])
+def test_json_shape_must_be_an_integer(dom):
+    with pytest.raises(ValueError, match="'dom' must be a JSON integer"):
+        WeightMap.from_json_obj({"dom": dom, "cod": 1, "entries": []})

@@ -7,7 +7,7 @@ import pytest
 
 from atlq import projectors, verify
 from atlq.diagram import gen_u
-from atlq.rep import phi
+from atlq.rep import extremal_matrix, phi
 from atlq.verify import SUITES, run_suite
 
 GOLDEN = Path(__file__).parent / "data" / "verify_all.txt"
@@ -142,3 +142,27 @@ def test_property_failures_print_their_details(monkeypatch):
         "FAIL  [technical] m=3: D^-1 T D = T :: rotation invariance",
     ]
     assert all(l.startswith("PASS") for l in lines[:-5])
+
+
+def test_broken_t3_leaves_no_trace_in_the_memo(monkeypatch):
+    # the patched T_3 must not be multiplied into a memoized larger T_m
+    projectors.phi_extremal.cache_clear()  # cold, as when this file runs alone
+    with monkeypatch.context() as patch:
+        _broken_t3(patch)
+        run_suite("technical", 3)
+    for m in range(1, 9):
+        assert projectors.phi_extremal(m) == extremal_matrix(m)
+
+
+def test_oracle_lines_pin_the_diagrams(monkeypatch):
+    # a wrong T_4 diagram fails its oracle line, though phi_extremal(4)
+    # never expands it
+    real = projectors.extremal
+    monkeypatch.setattr(verify, "extremal", lambda k: real(k).scale(2) if k == 4 else real(k))
+    ok, lines = run_suite("technical", 4)
+    assert not ok
+    fails = [l for l in lines if l.startswith("FAIL")]
+    assert fails == [
+        "FAIL  [technical] m=4: phi(T_4) matches the two-entry diagonal oracle "
+        ":: identity does not hold"
+    ]
