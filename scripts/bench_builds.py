@@ -1,0 +1,118 @@
+"""Cold projector builds, each in a fresh process, for one or more source trees.
+
+    python3 scripts/bench_builds.py [--src DIR ...] [--builds T6,T7,H6,H7,JW7]
+                                    [--rounds N] [--out FILE]
+
+A build is a letter and a size: T (extremal), H (highest weight), L
+(lowest weight) or JW (Jones-Wenzl).  Each one runs in its own
+interpreter with PYTHONPATH set to one --src directory (default: this
+checkout's src), so no cache carries over between builds.  Rounds
+interleave the trees: in round r they take turns in order, starting
+from tree r mod (number of trees), so drift of the machine lands on all
+of them.
+
+Per build it records the wall time of the build call, the process's peak
+resident set size, the term count and the sha256 of the projector's JSON
+(`dumps()`).  It prints one line per build and the medians, then writes
+everything as JSON to --out, or to standard output without it.  A build
+whose digest differs between the trees prints MISMATCH and exits 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+BUILDERS = {"T": "extremal", "H": "highest_weight", "L": "lowest_weight", "JW": "jones_wenzl"}
+
+CHILD = """
+import hashlib, json, resource, sys, time
+import atlq
+build = getattr(atlq, sys.argv[1])
+start = time.perf_counter()
+x = build(int(sys.argv[2]))
+elapsed = time.perf_counter() - start
+print(json.dumps({
+    "time_s": elapsed,
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "terms": len(x.terms),
+    "sha256": hashlib.sha256(x.dumps().encode()).hexdigest(),
+}))
+"""
+
+
+def parse_build(text: str) -> tuple[str, int] | None:
+    match = re.fullmatch(r"(T|H|L|JW)(\d+)", text)
+    return None if match is None else (BUILDERS[match.group(1)], int(match.group(2)))
+
+
+def run_build(src: str, name: str, m: int) -> dict:
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, name, str(m)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", action="append", help="a src directory; repeat to compare")
+    parser.add_argument("--builds", default="T6,T7,H6,H7,JW7")
+    parser.add_argument("--rounds", type=int, default=1)
+    parser.add_argument("--out")
+    args = parser.parse_args()
+    srcs = args.src or [os.path.join(ROOT, "src")]
+    builds = args.builds.split(",")
+    specs = [parse_build(b) for b in builds]
+    if None in specs:
+        parser.error(f"bad --builds {args.builds!r}: each is T, H, L or JW and a size")
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+
+    runs = {src: {b: [] for b in builds} for src in srcs}
+    for r in range(args.rounds):
+        for j in range(len(srcs)):
+            src = srcs[(r + j) % len(srcs)]
+            for b, (name, m) in zip(builds, specs):
+                res = run_build(src, name, m)
+                runs[src][b].append(res)
+                print(f"round {r} {src} {b}: {res['time_s']:.3f} s, "
+                      f"{res['peak_rss_mb']:.1f} MB, {res['terms']} terms", flush=True)
+
+    ok = True
+    summary = {}
+    for b in builds:
+        digests = {res["sha256"] for src in srcs for res in runs[src][b]}
+        if len(digests) != 1:
+            ok = False
+            print(f"{b}: MISMATCH, {len(digests)} distinct digests")
+        summary[b] = {
+            src: {
+                "time_s": statistics.median(res["time_s"] for res in runs[src][b]),
+                "peak_rss_mb": statistics.median(res["peak_rss_mb"] for res in runs[src][b]),
+                "terms": runs[src][b][0]["terms"],
+            }
+            for src in srcs
+        }
+        for src, med in summary[b].items():
+            print(f"{b} {src}: median {med['time_s']:.3f} s, {med['peak_rss_mb']:.1f} MB")
+    text = json.dumps({"builds": builds, "rounds": args.rounds, "runs": runs,
+                       "summary": summary}, indent=1)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -94,10 +94,10 @@ def load_operand(text: str) -> Morphism:
     if not path.exists():
         _usage_error(f"{text!r} is neither a builtin name nor a file")
     try:
-        x = Morphism.from_json_obj(json.loads(path.read_text()))
+        x = Morphism.loads(path.read_text())
     except OSError as exc:  # a directory, or a file that may not be read
         _usage_error(f"{text}: cannot read ({exc.strerror})")
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:  # nesting too deep
+    except ValueError as exc:
         _usage_error(f"{text}: not a morphism JSON file ({type(exc).__name__}: {exc})")
     if (x.dom + x.cod) % 2:
         _usage_error(f"{text}: shape {x.dom}->{x.cod} has an odd number of endpoints")

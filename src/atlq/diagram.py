@@ -51,7 +51,7 @@ import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 from .config import CACHE_CLEARS, MODE_QUOTIENT, get_config, guard, memo
-from .scalar import ONE, Combination, GaussianRational, add_rescaled, json_int
+from .scalar import ONE, Combination, GaussianRational, add_rescaled, json_int, json_reader
 
 Point = tuple[str, int]
 Arc = tuple[Point, Point]
@@ -486,6 +486,7 @@ class Morphism(Combination):
         }
 
     @classmethod
+    @json_reader
     def from_json_obj(cls, obj: dict) -> Morphism:
         dom, cod = json_int(obj["dom"], "dom"), json_int(obj["cod"], "cod")
         # guard the shape before any term is read: validating a term walks

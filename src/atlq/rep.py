@@ -58,7 +58,7 @@ from sys import intern
 from .config import CACHE_CLEARS
 from .diagram import AnnularDiagram, Morphism, Point
 from .scalar import I, MINUS_I, MINUS_ONE, ONE, ZERO, Combination, GaussianRational
-from .scalar import _make, accumulate, json_int
+from .scalar import _make, accumulate, json_int, json_reader
 
 
 def sign_strings(n: int) -> list[str]:
@@ -137,6 +137,7 @@ class WeightMap(Combination):
         }
 
     @classmethod
+    @json_reader
     def from_json_obj(cls, obj: dict) -> WeightMap:
         return cls._sum(json_int(obj["dom"], "dom"), json_int(obj["cod"], "cod"), (
             ((r, c), GaussianRational.parse(v)) for r, c, v in obj["entries"]

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import wraps
 from itertools import chain
 from math import gcd, lcm
 
@@ -267,6 +268,24 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def json_reader(read):
+    """Report malformed JSON as a ValueError alone.
+
+    A missing key, a value of the wrong type and nesting deeper than the
+    JSON parser can follow raise KeyError, TypeError and RecursionError
+    from inside a reader; the caller sees them as one ValueError.
+    """
+
+    @wraps(read)
+    def checked(*args):
+        try:
+            return read(*args)
+        except (KeyError, TypeError, RecursionError) as exc:
+            raise ValueError(f"malformed JSON ({type(exc).__name__}: {exc})") from None
+
+    return checked
+
+
 class Combination:
     """A finite Q(i)-linear combination of keys, with a shape dom -> cod.
 
@@ -375,5 +394,6 @@ class Combination:
         return json.dumps(self.to_json_obj(), indent=indent)
 
     @classmethod
+    @json_reader
     def loads(cls, text: str):
         return cls.from_json_obj(json.loads(text))

@@ -10,7 +10,10 @@ arithmetic, reduced at every step, as the engine did before it summed
 raw integer numerators.  `reference_rank_of_columns` and
 `reference_solve_columns` eliminate through `GaussianRational` too, with
 tag rows for the solution, as the engine did before it eliminated on
-raw integer numerators.  All are kept as test oracles.
+raw integer numerators.  `reference_overlap` builds T_m and H_m with the
+right factor of their overlap product expanded first, as the engine did
+before it applied that factor one letter at a time.  All are kept as
+test oracles.
 """
 
 from __future__ import annotations
@@ -30,8 +33,10 @@ from atlq import (
     gen_id,
     gen_u,
     highest_weight,
+    iota,
     jones_wenzl,
     lowest_weight,
+    tensor,
 )
 from atlq.config import MODE_QUOTIENT, get_config
 from atlq.diagram import AnnularDiagram, Arc, Point, _intern, _KIND_ORDER, compose, point_key
@@ -157,6 +162,14 @@ def wound_diagrams(rng: random.Random, count: int, length: int) -> list[AnnularD
         (d,) = x.terms
         out.append(d)
     return out
+
+
+def reference_overlap(build, m: int) -> Morphism:
+    """P_m = iota(P_{m-1}) . tensor(id_{m-2}, P_2) for P = build, down to P_2."""
+    if m <= 2:
+        return build(m)
+    with configure(mode=MODE_QUOTIENT):
+        return iota(reference_overlap(build, m - 1)) * tensor(gen_id(m - 2), build(2))
 
 
 # -- seam reduction -------------------------------------------------------

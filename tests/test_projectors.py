@@ -8,6 +8,7 @@ import pytest
 
 import atlq
 from atlq import (
+    Morphism,
     WeightMap,
     clear_caches,
     configure,
@@ -20,6 +21,7 @@ from atlq import (
     gen_u,
     highest_weight,
     iota,
+    iota_prime,
     iso_diff,
     iso_diff_maps,
     iso_equal,
@@ -36,14 +38,18 @@ from atlq import (
     phi,
     split_idempotent,
     split_idempotent_nested,
+    tensor,
     verify_properties,
     weight_tensor,
 )
 from atlq import cheb_l, config, diagram, planar, projectors, rep
 from atlq.cli import PROJECTOR_KINDS
+from atlq.config import MODE_QUOTIENT, MODE_RAW
 from atlq.diagram import compose
 from atlq.projectors import WEIGHTS, phi_extremal
 from atlq.scalar import HALF, I, ONE
+
+from helpers import reference_overlap
 
 
 # -- Jones-Wenzl -------------------------------------------------------------
@@ -123,6 +129,36 @@ def test_extremal_idempotent_in_quotient():
     t3 = extremal(3)
     assert t3 * t3 != t3  # syntactically distinct before the quotient
     assert phi(t3 * t3) == phi_extremal(3)
+
+
+@pytest.mark.parametrize("build, top", [(extremal, 6), (highest_weight, 5)])
+def test_overlap_matches_the_expanded_right_factor(build, top):
+    clear_caches()
+    want = {m: reference_overlap(build, m) for m in range(3, top + 1)}
+    clear_caches()
+    assert {m: build(m) for m in want} == want
+
+
+def test_two_strand_bases_gain_no_essential_term():
+    # why the right factor may go letter by letter: superposing strands on
+    # the left of a base term never leaves an essential term to drop
+    with configure(mode=MODE_RAW):
+        for base in (extremal(2), highest_weight(2)):
+            for d in base.terms:
+                x = Morphism.from_diagram(d)
+                for _ in range(7):
+                    x = iota_prime(x)
+                    assert not any(e.ess for e in x.terms)
+
+
+@pytest.mark.parametrize("e", [1, -1])
+def test_overlap_rotation_rules(e):
+    # a one-letter base exercises the rule for id_k (x) D^e alone
+    with configure(mode=MODE_QUOTIENT):
+        for n in range(1, 5):
+            for k in range(1, 4):
+                d = gen_d(n, e)
+                assert projectors._overlap(gen_id(k + n), d) == tensor(gen_id(k), d)
 
 
 def test_extremal_recursion_route_agrees():
@@ -310,6 +346,25 @@ def test_extremal_6_is_frozen():
     assert len(x.terms) == 1118
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "d56c97099456aa85ad4e285d8bbc77987645f2fee24a826e77fa9e388fc5fe22"
+
+
+@pytest.mark.parametrize("build, digest", [
+    (highest_weight, "22c013b3fd8e7a7b278e5e874b7e824cf2db5d4a7e8d833d45d3a387195e0526"),
+    (lowest_weight, "5a93d1704e9ee29326ce2bb5c238670e18ad8a5b5536f49af6b155578b5df901"),
+], ids=["highest", "lowest"])
+def test_weight_projectors_6_are_frozen(build, digest):
+    x = build(6)
+    text = x.dumps() + "\n" + phi(x).dumps() + "\n"
+    assert len(x.terms) == 3152
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_extremal_7_is_frozen():
+    # the JSON alone: phi of the T_7 diagram costs as much as its build
+    x = extremal(7)
+    assert len(x.terms) == 6026
+    digest = hashlib.sha256(x.dumps().encode()).hexdigest()
+    assert digest == "c8c0c30c3454a52216e8a1272ed98e1afa8de5322dea586c8610f43595f6af88"
 
 
 def test_results_survive_clear_caches(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from atlq import (
     GaussianRational,
+    Morphism,
     WeightMap,
     extremal,
     extremal_matrix,
@@ -381,3 +382,23 @@ def test_json_repeated_entries_add():
 def test_json_shape_must_be_an_integer(dom):
     with pytest.raises(ValueError, match="'dom' must be a JSON integer"):
         WeightMap.from_json_obj({"dom": dom, "cod": 1, "entries": []})
+
+
+# each once raised RecursionError, TypeError or KeyError from the reader
+_ID_TERM = {"diagram": {"seam": 0, "ess": 0, "arcs": [["I0", "O0"]]}, "coeff": "1"}
+
+
+@pytest.mark.parametrize("cls", [Morphism, WeightMap])
+@pytest.mark.parametrize("read, arg", [
+    ("loads", "[" * 100000 + "]" * 100000),
+    ("from_json_obj", []),
+    ("from_json_obj", "dom"),
+    ("from_json_obj", {"dom": 1, "cod": 1}),
+    ("from_json_obj", {"dom": 1, "cod": 1, "terms": 5, "entries": 5}),
+    ("from_json_obj", {"dom": 1, "cod": 1, "terms": [5], "entries": [5]}),
+    ("from_json_obj", {"dom": 1, "cod": 1, "terms": [{**_ID_TERM, "coeff": 5}],
+                       "entries": [["+", "+", 5]]}),
+], ids=["deep", "list", "str", "missing", "int-body", "int-item", "int-coeff"])
+def test_json_readers_raise_only_value_error(cls, read, arg):
+    with pytest.raises(ValueError, match="malformed JSON"):
+        getattr(cls, read)(arg)
