@@ -4,15 +4,17 @@
                                     [--rounds N] [--out FILE]
 
 A build is a letter and a size: T (extremal), H (highest weight), L
-(lowest weight) or JW (Jones-Wenzl).  Each one runs in its own
+(lowest weight) or JW (Jones-Wenzl).  PT times the strand-insertion layer
+instead: PT7 builds T_7 untimed, then times its partial trace
+cap . iota(T_7) . cup, and reports that result.  Each one runs in its own
 interpreter with PYTHONPATH set to one --src directory (default: this
 checkout's src), so no cache carries over between builds.  Rounds
 interleave the trees: in round r they take turns in order, starting
 from tree r mod (number of trees), so drift of the machine lands on all
 of them.
 
-Per build it records the wall time of the build call, the process's peak
-resident set size, the term count and the sha256 of the projector's JSON
+Per build it records the wall time of the timed call, the process's peak
+resident set size, the term count and the sha256 of the result's JSON
 (`dumps()`).  It prints one line per build and the medians, then writes
 everything as JSON to --out, or to standard output without it.  A build
 whose digest differs between the trees prints MISMATCH and exits 1.
@@ -30,14 +32,19 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-BUILDERS = {"T": "extremal", "H": "highest_weight", "L": "lowest_weight", "JW": "jones_wenzl"}
+BUILDERS = {"T": "extremal", "H": "highest_weight", "L": "lowest_weight", "JW": "jones_wenzl",
+            "PT": "partial_trace"}
 
 CHILD = """
 import hashlib, json, resource, sys, time
 import atlq
-build = getattr(atlq, sys.argv[1])
+name, m = sys.argv[1], int(sys.argv[2])
+if name == "partial_trace":
+    args = (atlq.extremal(m),)
+else:
+    args = (m,)
 start = time.perf_counter()
-x = build(int(sys.argv[2]))
+x = getattr(atlq, name)(*args)
 elapsed = time.perf_counter() - start
 print(json.dumps({
     "time_s": elapsed,
@@ -49,7 +56,7 @@ print(json.dumps({
 
 
 def parse_build(text: str) -> tuple[str, int] | None:
-    match = re.fullmatch(r"(T|H|L|JW)(\d+)", text)
+    match = re.fullmatch(r"(PT|T|H|L|JW)(\d+)", text)
     return None if match is None else (BUILDERS[match.group(1)], int(match.group(2)))
 
 
@@ -73,7 +80,7 @@ def main() -> int:
     builds = args.builds.split(",")
     specs = [parse_build(b) for b in builds]
     if None in specs:
-        parser.error(f"bad --builds {args.builds!r}: each is T, H, L or JW and a size")
+        parser.error(f"bad --builds {args.builds!r}: each is T, H, L, JW or PT and a size")
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
 

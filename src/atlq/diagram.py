@@ -269,6 +269,15 @@ def _seam_step(partner: list[int], levels: list[int], lo: int, ro: int):
     return None
 
 
+def _code_arcs(partner: list[int], arcs, off: dict[str, int]) -> None:
+    """Enter each arc into `partner` as two int codes, off[kind] + index."""
+    for (pk, pj), (qk, qj) in arcs:
+        p = off[pk] + pj
+        q = off[qk] + qj
+        partner[p] = q
+        partner[q] = p
+
+
 @memo()
 def compose(inner: AnnularDiagram, outer: AnnularDiagram):
     """Glue `outer` around `inner` (inner.cod == outer.dom).
@@ -299,15 +308,8 @@ def compose(inner: AnnularDiagram, outer: AnnularDiagram):
 
     pa = [-1] * (mo + mid)
     pb = [-1] * (mo + mid)
-    for arcs, part, off in (
-        (inner.arcs, pa, {"I": 0, "O": mo, "L": lo, "R": ro}),
-        (outer.arcs, pb, {"I": mo, "O": m, "L": lo + ka, "R": ro + ka}),
-    ):
-        for (pk, pj), (qk, qj) in arcs:
-            p = off[pk] + pj
-            q = off[qk] + qj
-            part[p] = q
-            part[q] = p
+    _code_arcs(pa, inner.arcs, {"I": 0, "O": mo, "L": lo, "R": ro})
+    _code_arcs(pb, outer.arcs, {"I": mo, "O": m, "L": lo + ka, "R": ro + ka})
 
     # follow each strand from a boundary point across the middle circle,
     # alternating between the two diagrams, to its other boundary end
@@ -340,8 +342,20 @@ def compose(inner: AnnularDiagram, outer: AnnularDiagram):
                 break
         iness += 1
 
-    ess = inner.ess + outer.ess
-    levels = list(range(k))
+    return _canonical(partner, m, n, k, list(range(k)), inner.ess + outer.ess, iness)
+
+
+def _canonical(partner: list[int], m: int, n: int, k: int, levels: list[int], ess: int, iness: int):
+    """Reduce the seam of an int-coded matching and intern the diagram.
+
+    `partner` matches the codes I_j -> j, O_j -> m + j, L_t -> m + n + t
+    and R_t -> m + n + k + t on the surviving `levels`, and is reduced in
+    place.  `ess` and `iness` count the circles closed before; returns
+    (diagram, inessential, essential) with the circles of the reduction
+    added, as `compose` does.
+    """
+    lo = m + n
+    ro = lo + k
     while step := _seam_step(partner, levels, lo, ro):
         ess += step[0]
         iness += step[1]
@@ -508,18 +522,34 @@ class Morphism(Combination):
         return f"<Morphism {self.dom}->{self.cod}, {len(self.terms)} terms>"
 
 
+# id_diagram(n) by arity, without the guard's cost on every product
+_IDENTITIES: dict[int, AnnularDiagram] = {}
+CACHE_CLEARS.append(_IDENTITIES.clear)
+
+
 def mor_compose(x: Morphism, y: Morphism) -> Morphism:
     """Categorical composition x after y."""
     if x.dom != y.cod:
         raise ValueError(f"cannot compose {x.dom}->{x.cod} after {y.dom}->{y.cod}")
-    quotient = get_config().mode == MODE_QUOTIENT
+    cfg = get_config()
+    quotient = cfg.mode == MODE_QUOTIENT
+    # composing with the identity gives the other diagram back; above the
+    # strand limit no identity is built to test against
+    ident = _IDENTITIES.get(x.dom)
+    if ident is None and x.dom <= cfg.max_strands:
+        ident = _IDENTITIES[x.dom] = id_diagram(x.dom)
     xs = [(dx, cx.a, cx.b, cx.d) for dx, cx in x.terms.items()]
     # unreduced [a, b, d] sums, as `scalar.accumulate` keeps them
     acc: dict[AnnularDiagram, list[int]] = {}
     for dy, cy in y.terms.items():
         ay, by, ey = cy.a, cy.b, cy.d
         for dx, ax, bx, ex in xs:
-            d, iness, _ = compose(dy, dx)
+            if dy is ident:
+                d, iness = dx, 0
+            elif dx is ident:
+                d, iness = dy, 0
+            else:
+                d, iness, _ = compose(dy, dx)
             if quotient and d.ess:
                 continue
             # cx * cy * (-2)^iness

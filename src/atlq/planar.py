@@ -1,18 +1,23 @@
-"""Structural operations built on generator words.
+"""Structural operations: generator words, strand insertion, tensor, trace.
 
 Every canonical diagram factors as a composition of caps, cups and
 rotations.  `factorize` finds such a word greedily: strip caps off the
 inner boundary and cups off the outer one, and while the seam is still
 crossed, pre- or post-compose with one rotation that lowers the seam
-(the `factorize` docstring says why there is one).  The word is the
-backbone for the operations that have to resolve crossings:
+(the `factorize` docstring says why there is one).  `recompose`
+multiplies a word back out, and `projectors._overlap` applies the words
+of the two-strand projectors one letter at a time.
 
-* `iota` (add a strand on the right).  For a seam-free diagram this just
-  appends a through strand.  A wound arc, however, crosses every radial
-  line of the annulus, so it must cross the added strand; at q=1 the
-  crossing resolves as id + U.  Mapping letters cap/cup -> same letter one
-  arity up and D -> s . D (rotation followed by a crossing of the last two
-  strands) implements exactly that resolution.
+* `iota` (add a strand on the right).  A wound arc crosses every radial
+  line of the annulus, so it cannot avoid the added strand, and at q=1 a
+  crossing is the sum of its two smoothings (id + U).  So d (x) 1 is the
+  sum of the 2^seam pictures with every crossing smoothed, each reduced
+  like a composite; `iota_diagram` traces them on the int codes of
+  `compose`.  In quotient mode it drops the pictures that close an
+  essential circle, which gives pi(d (x) 1), pi dropping every term with
+  an essential circle.  Multiplying the strand past the letters of
+  factorize(d) (cap/cup one arity up, D -> s . D) gives the same sum,
+  because pi commutes with composition.
 * `iota_prime` (add a strand on the left) is the conjugate D^-1 iota(.) D.
 * `tensor` superposes side by side: X (x) Y = iota^|Y|(X) . iota_prime^|X|(Y),
   with a direct fast path when nothing crosses the seam.
@@ -24,14 +29,16 @@ backbone for the operations that have to resolve crossings:
 
 from __future__ import annotations
 
-from .config import CACHE_CLEARS, get_config, guard
+from bisect import bisect_left
+
+from .config import CACHE_CLEARS, MODE_QUOTIENT, get_config, guard
 from .diagram import (
     AnnularDiagram,
     Morphism,
-    cap_diagram,
+    _canonical,
+    _code_arcs,
+    _seam_step,
     compose,
-    crossing,
-    cup_diagram,
     d_diagram,
     gen_cap,
     gen_cup,
@@ -39,9 +46,8 @@ from .diagram import (
     gen_id,
     id_diagram,
     make_diagram,
-    mor_compose,
 )
-from .scalar import MINUS_TWO
+from .scalar import MINUS_TWO, accumulate
 
 # A letter is ("cap", n, i) | ("cup", n, i) | ("d", n, e), where n is the
 # arity of its domain; words list letters in application order.
@@ -164,41 +170,82 @@ _iota_cache: dict[tuple[str, AnnularDiagram], Morphism] = {}
 CACHE_CLEARS.append(_iota_cache.clear)
 
 
-def _iota_letter(letter: Letter) -> Morphism:
-    kind, n, x = letter
-    if kind == "cap":
-        return gen_cap(n + 1, x)
-    if kind == "cup":
-        return gen_cup(n + 1, x)
-    # the new strand sits at the old seam position: rotating past it makes
-    # the wound strand cross it, and the q=1 crossing is id + U
-    if x == 1:
-        return crossing(n + 1, n) * gen_d(n + 1, 1)
-    return gen_d(n + 1, -1) * crossing(n + 1, n)
-
-
 def iota_diagram(d: AnnularDiagram) -> Morphism:
+    """d (x) 1, by resolving the crossings of the new strand level by level.
+
+    The new strand runs from I_m to O_n just left of the R edge and crosses
+    the arc at each R_t once.  Walk up it, carrying the far end of the curve
+    that runs along it (I_m at first), and resolve each crossing into its
+    two smoothings: with a the point joined to R_t, one smoothing joins the
+    carried end to R_t and carries a on, the other joins it to a and
+    carries R_t on.  At the top the carried end meets O_n.
+
+    The 2^seam states collapse to few diagrams, so each partial state is
+    reduced (`_seam_step`) on the levels already walked and below the
+    carried end, and equal partial states are merged before the next level.
+    A reduction can join R_t to the carried end; the crossing at R_t then
+    closes the carried curve on itself, and the two smoothings add up to
+    -1 times carrying R_t on.  Circles count as in `compose`: -2 for each
+    inessential one, and in quotient mode a state with an essential circle
+    is dropped as soon as it has one.
+    """
     if d.ess:
         raise ValueError("cannot superpose a strand over an essential circle")
     key = (get_config().mode, d)
     cached = _iota_cache.get(key)
     if cached is not None:
         return cached
-    if d.seam == 0:
-        out = Morphism.from_diagram(
-            make_diagram(
-                d.dom + 1,
-                d.cod + 1,
-                0,
-                0,
-                d.arcs + ((("I", d.dom), ("O", d.cod)),),
-            )
-        )
-    else:
-        out = gen_id(d.dom + 1)
-        for letter in factorize(d):
-            out = _iota_letter(letter) * out
-    _iota_cache[key] = out
+    quotient = key[0] == MODE_QUOTIENT
+    m, n, k = d.dom + 1, d.cod + 1, d.seam
+    lo = m + n
+    ro = lo + k
+    base = [-1] * (ro + k)
+    _code_arcs(base, d.arcs, {"I": 0, "O": m, "L": lo, "R": ro})
+    # (partner codes, carried end, surviving levels, essential circles) ->
+    # coefficient; the carried end's own entry is -1
+    states = {(tuple(base), m - 1, tuple(range(k)), 0): 1}
+    for t in range(k):
+        r = ro + t
+        nxt: dict = {}
+        for state, c in states.items():
+            partner, carried, levels, ess = state
+            a = partner[r]
+            if a < 0:
+                nxt[state] = nxt.get(state, 0) - c
+                continue
+            for new in (a, r):
+                p = list(partner)
+                if new == a:
+                    p[carried], p[r] = r, carried
+                else:
+                    p[carried], p[a] = a, carried
+                p[new] = -1
+                e, iness, kept = ess, 0, levels
+                # reducing here only merges states, the last pass reduces the
+                # rest; it can find something new only when the old carried
+                # end is on the seam or L_t, walked now, is joined to the seam
+                if carried >= lo or (new == a and partner[lo + t] >= lo):
+                    cut = t + 1 if new < lo else min(t + 1, (new - lo) % k)
+                    i = bisect_left(levels, cut)
+                    done = list(levels[:i])
+                    while step := _seam_step(p, done, lo, ro):
+                        e += step[0]
+                        iness += step[1]
+                    if quotient and e:
+                        continue
+                    if len(done) < i:
+                        kept = tuple(done) + levels[i:]
+                nkey = (tuple(p), new, kept, e)
+                nxt[nkey] = nxt.get(nkey, 0) + c * (-2) ** iness
+        states = nxt
+    acc: dict[AnnularDiagram, list[int]] = {}
+    for (partner, carried, levels, ess), c in states.items():
+        p = list(partner)
+        p[carried], p[lo - 1] = lo - 1, carried
+        e, iness, ess = _canonical(p, m, n, k, list(levels), ess, 0)
+        if not (quotient and ess):
+            accumulate(acc, e, c * (-2) ** iness, 0, 1)
+    _iota_cache[key] = out = Morphism._from_sums(m, n, acc)
     return out
 
 

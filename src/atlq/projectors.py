@@ -299,6 +299,8 @@ class _Diagrams(_Evaluator):
 
     factors = memo()(_Evaluator.factors)
     weight_tensor = memo()(_Evaluator.weight_tensor)
+    # iso_diff(m, n) reuses the complement that split_idempotent(m, n) built
+    split = memo()(_Evaluator.split)
 
 
 class _Weights(_Evaluator):

@@ -12,8 +12,10 @@ raw integer numerators.  `reference_rank_of_columns` and
 tag rows for the solution, as the engine did before it eliminated on
 raw integer numerators.  `reference_overlap` builds T_m and H_m with the
 right factor of their overlap product expanded first, as the engine did
-before it applied that factor one letter at a time.  All are kept as
-test oracles.
+before it applied that factor one letter at a time.
+`reference_iota_diagram` adds a strand by multiplying the letters of
+`factorize(d)` one arity up, as the engine did before it traced the
+resolutions of the new strand's crossings.  All are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -170,6 +172,26 @@ def reference_overlap(build, m: int) -> Morphism:
         return build(m)
     with configure(mode=MODE_QUOTIENT):
         return iota(reference_overlap(build, m - 1)) * tensor(gen_id(m - 2), build(2))
+
+
+def reference_iota_diagram(d: AnnularDiagram) -> Morphism:
+    """d (x) 1 by generator words: cap/cup one arity up, D^+-1 with a crossing.
+
+    The new strand sits at the old seam position: rotating past it makes
+    the wound strand cross it, and the q=1 crossing is id + U.
+    """
+    out = gen_id(d.dom + 1)
+    for kind, n, x in factorize(d):
+        if kind == "cap":
+            letter = gen_cap(n + 1, x)
+        elif kind == "cup":
+            letter = gen_cup(n + 1, x)
+        elif x == 1:
+            letter = crossing(n + 1, n) * gen_d(n + 1, 1)
+        else:
+            letter = gen_d(n + 1, -1) * crossing(n + 1, n)
+        out = letter * out
+    return out
 
 
 # -- seam reduction -------------------------------------------------------

@@ -216,6 +216,39 @@ def test_mor_compose_matches_reference(mode):
             assert list(got.terms.items()) == list(want.terms.items())
 
 
+@pytest.mark.parametrize("mode", ["quotient", "raw"])
+def test_mor_compose_with_identity_terms_matches_reference(mode):
+    # a pair with an identity diagram on either side skips `compose`; the
+    # other diagram comes back as it is, and the raw inputs carry essential
+    # circles, which quotient mode must still drop
+    by_shape: dict[tuple[int, int], list] = {}
+    for d in reference_inputs("raw"):
+        by_shape.setdefault((d.dom, d.cod), []).append(d)
+    rng = random.Random(f"mor-compose-identity-{mode}")
+    half_i = GaussianRational(0, 1) * HALF
+    pairs = []
+    for (m, n), ds in sorted(by_shape.items()):
+        z = random_combination(rng, ds, 8)
+        for k, side in ((n, "left"), (m, "right")):
+            ident = gen_id(k).scale(half_i)
+            if (k, k) in by_shape:
+                ident = ident + random_combination(rng, by_shape[(k, k)], 4)
+            pairs.append((ident, z) if side == "left" else (z, ident))
+            if k >= 2:
+                s = crossing(k, rng.randrange(k))
+                pairs.append((s, z) if side == "left" else (z, s))
+    assert any(d.ess for _, y in pairs for d in y.terms)
+    with configure(mode=mode):
+        for x, y in pairs:
+            got, want = x * y, reference_mor_compose(x, y)
+            assert list(got.terms.items()) == list(want.terms.items())
+    # above the strand limit there is no identity to look up, and the
+    # product is still taken
+    x, y = crossing(3, 1), gen_d(3, 1)
+    with configure(max_strands=2):
+        assert x * y == reference_mor_compose(x, y)
+
+
 def test_quotient_mode_drops_essential_circles():
     # Closing the rotation into a loop winds once around the core: the
     # term vanishes in quotient mode and stays as a circle count in raw

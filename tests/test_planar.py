@@ -20,6 +20,7 @@ from atlq import (
     gen_d,
     gen_id,
     gen_u,
+    highest_weight,
     iota,
     iota_prime,
     is_planar,
@@ -32,7 +33,15 @@ from atlq import (
 from atlq.planar import ess_generator, iota_diagram, recompose
 from atlq.scalar import MINUS_ONE, MINUS_TWO, ONE
 
-from helpers import compose_word, random_single_diagram, random_word, reference_inputs, wound_diagrams
+from helpers import (
+    compose_word,
+    projector_family,
+    random_single_diagram,
+    random_word,
+    reference_inputs,
+    reference_iota_diagram,
+    wound_diagrams,
+)
 
 
 def only_diagram(m):
@@ -129,6 +138,34 @@ def test_iota_resolves_seam_crossings():
     out = iota_prime(gen_d(1, 1))
     parts = sorted(str(d) for d in out.terms)
     assert parts == ["{I0-I1, O0-L0, O1-R0}", "{I0-L0, I1-O0, O1-R0}"]
+
+
+@pytest.mark.parametrize("mode", ["quotient", "raw"])
+def test_iota_diagram_matches_letter_route(mode):
+    # every distinct circle-free diagram of the projector builds, the seeded
+    # products and the wound words, against multiplying the letters of
+    # factorize(d) one arity up; the wound words reach seam 19, where the
+    # 2^seam resolutions collapse to a few diagrams
+    with configure(mode="quotient"):
+        pool = dict.fromkeys(d for x in projector_family() for d in x.terms)
+        pool.update(dict.fromkeys(wound_diagrams(random.Random(20261018), 400, 40)))
+    pool.update(dict.fromkeys(d for d in reference_inputs(mode) if not d.ess))
+    assert max(d.seam for d in pool) >= 19
+    with configure(mode=mode):
+        for d in pool:
+            assert iota_diagram(d) == reference_iota_diagram(d), d
+
+
+# sha256 of iota(x).dumps(), taken from the letter route before the
+# crossings of the new strand were resolved directly
+@pytest.mark.parametrize("build, m, terms, digest", [
+    (extremal, 6, 4873, "34eb8b41110b5c4358ebde18179a6ae11b01937b0bfe5f6cf6ca8d8e6c75b514"),
+    (highest_weight, 4, 549, "446b6653d1611cc92c8b9b57471aa12acaff1133cf5b0d686ffe63fc0327d240"),
+], ids=["extremal-6", "highest-4"])
+def test_iota_of_projectors_is_frozen(build, m, terms, digest):
+    out = iota(build(m))
+    assert len(out.terms) == terms
+    assert hashlib.sha256(out.dumps().encode()).hexdigest() == digest
 
 
 def test_iota_is_tensor_with_identity_on_weights():

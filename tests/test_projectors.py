@@ -227,6 +227,13 @@ def test_iso_diff_contracts():
         iso_diff(2, 2)
 
 
+def test_iso_diff_reuses_the_split_idempotent():
+    # the diagram evaluator memoizes split, as the weight one does, so the
+    # complement e_{m,n} is built once for both constructors
+    for m, n in ((2, 1), (1, 2)):
+        assert iso_diff(m, n).src_idem is split_idempotent(m, n)
+
+
 def test_iso_equal_contracts():
     p1, p2 = iso_equal(1)
     for pair in (p1, p2):
@@ -394,5 +401,6 @@ def test_no_memo_escapes_clear_caches():
         memo.__name__ for memo in memos
     }
     assert [memo.__name__ for memo in memos if memo.cache_info().currsize] == []
-    tables = (diagram._POOL, planar._factor_cache, planar._iota_cache, rep._phi_cache)
-    assert [len(table) for table in tables] == [0, 0, 0, 0]
+    tables = (diagram._POOL, diagram._IDENTITIES, planar._factor_cache, planar._iota_cache,
+              rep._phi_cache)
+    assert [len(table) for table in tables] == [0, 0, 0, 0, 0]
