@@ -31,6 +31,16 @@ essential circle.  Composition performs these reductions, and
 circle separates the two boundary components, so diagrams with ess > 0
 cannot have through strands.
 
+A diagram is stored as its partner code.  Every point has an int code, in
+blocks I, O, L, R, each block in index order: I_j -> j, O_j -> m + j,
+L_t -> m + n + t and R_t -> m + n + k + t.  `codes[c]` is the code of the
+point matched to c.  That is `point_key` order, so the arcs (c, codes[c])
+with c < codes[c], read in increasing c, are the canonical sorted arc
+tuple; `arcs` is that view, built on demand for validation, JSON text,
+printing, rendering and the planar builders.  The code, with the sizes
+and the essential circle count, is the diagram's hash, its equality and
+its key in the pool that interns it.
+
 `Morphism` is a finite linear combination of diagrams with coefficients in
 Q(i): a `scalar.Combination` whose keys are diagrams, from which it
 inherits construction, the linear structure, equality and JSON text.  It
@@ -38,18 +48,14 @@ adds composition and the tensor product.  Composition stacks one annulus
 inside the other, traces strands through the middle circle, counts the
 circles created, and reduces the combined seam.  In quotient mode (the default) terms that acquire an
 essential circle are dropped.
-
-`compose` works on int codes, not point tuples: the points of the glued
-picture are numbered in blocks I, O, L, R, then the middle points, each
-block in index order.  That is `point_key` order, and dropping seam
-levels keeps it, so the composite's arcs come out already sorted.
 """
 
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from .config import CACHE_CLEARS, MODE_QUOTIENT, get_config, guard, memo
 from .scalar import ONE, Combination, GaussianRational, add_rescaled, json_int, json_reader
 
@@ -63,34 +69,32 @@ def point_key(p: Point) -> tuple[int, int]:
     return (_KIND_ORDER[p[0]], p[1])
 
 
-def _norm_arcs(arcs) -> tuple[Arc, ...]:
-    out = []
-    for p, q in arcs:
-        out.append((p, q) if point_key(p) <= point_key(q) else (q, p))
-    out.sort(key=lambda a: (point_key(a[0]), point_key(a[1])))
-    return tuple(out)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class AnnularDiagram:
+    """A canonical annular diagram dom -> cod, stored as its partner code.
+
+    Build diagrams through `make_diagram` or composition, which intern
+    them: equal diagrams are then the same object.
+    """
+
     dom: int
     cod: int
     seam: int
     ess: int
-    arcs: tuple[Arc, ...]
+    codes: tuple[int, ...]
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
-            self, "_hash", hash((self.dom, self.cod, self.seam, self.ess, self.arcs))
+            self, "_hash", hash((self.dom, self.cod, self.seam, self.ess, self.codes))
         )
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
-        # str hashes are salted per process, so the cached hash must not
-        # travel; reloading interns the diagram and hashes it afresh
-        return (_intern, (self.dom, self.cod, self.seam, self.ess, self.arcs))
+        # reloading interns the diagram, so identity holds after a round trip
+        return (_intern, (self.dom, self.cod, self.seam, self.ess, self.codes))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -103,68 +107,25 @@ class AnnularDiagram:
             and self.cod == other.cod
             and self.seam == other.seam
             and self.ess == other.ess
-            and self.arcs == other.arcs
+            and self.codes == other.codes
         )
 
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        """The matching as sorted point pairs (p, q), p before q in `point_key` order."""
+        names = _point_names(self.dom, self.cod, self.seam)
+        return tuple([(names[c], names[p]) for c, p in enumerate(self.codes) if c < p])
+
     def boundary_cycle(self) -> list[Point]:
-        cycle = [("I", j) for j in range(self.dom)]
-        cycle += [("R", t) for t in range(self.seam)]
-        cycle += [("O", j) for j in reversed(range(self.cod))]
-        cycle += [("L", t) for t in reversed(range(self.seam))]
-        return cycle
+        return _boundary_cycle(self.dom, self.cod, self.seam)
 
     def partner_map(self) -> dict[Point, Point]:
-        partner: dict[Point, Point] = {}
-        for p, q in self.arcs:
-            partner[p] = q
-            partner[q] = p
-        return partner
+        names = _point_names(self.dom, self.cod, self.seam)
+        return {names[c]: names[p] for c, p in enumerate(self.codes)}
 
     def validate(self) -> None:
         """Raise ValueError unless this is a canonical diagram."""
-        if min(self.dom, self.cod, self.seam, self.ess) < 0:
-            raise ValueError("negative size field")
-        # count first: the boundary is as long as the claimed seam
-        if 2 * len(self.arcs) != self.dom + self.cod + 2 * self.seam:
-            raise ValueError("arcs are not a perfect matching on the boundary")
-        cycle = self.boundary_cycle()
-        expected = set(cycle)
-        seen = set()
-        for p, q in self.arcs:
-            for x in (p, q):
-                if x not in expected:
-                    raise ValueError(f"point {x} out of range")
-                if x in seen:
-                    raise ValueError(f"point {x} used twice")
-                seen.add(x)
-            if p == q:
-                raise ValueError("arc endpoints coincide")
-        if seen != expected:
-            raise ValueError("arcs are not a perfect matching on the boundary")
-        partner = self.partner_map()
-        # noncrossing check: arcs must nest properly along the boundary cycle
-        pos = {p: idx for idx, p in enumerate(cycle)}
-        stack: list[Point] = []
-        for p in cycle:
-            if stack and stack[-1] == partner[p]:
-                stack.pop()
-            elif pos[partner[p]] > pos[p]:
-                stack.append(p)
-            else:
-                raise ValueError(f"arcs cross near {p}")
-        if stack:
-            raise ValueError("arcs cross")
-        # seam minimality
-        for t in range(self.seam):
-            if partner.get(("L", t)) == ("R", t):
-                raise ValueError(f"reducible: essential circle at level {t}")
-            for kind in ("L", "R"):
-                if partner.get((kind, t)) == (kind, t + 1):
-                    raise ValueError(f"reducible: {kind}-edge arc at levels {t},{t + 1}")
-        if self.ess:
-            for p, q in self.arcs:
-                if {p[0], q[0]} == {"I", "O"}:
-                    raise ValueError("through strand coexists with an essential circle")
+        _validate_arcs(self.dom, self.cod, self.seam, self.ess, self.arcs)
 
     # -- serialization ----------------------------------------------------
 
@@ -181,22 +142,103 @@ class AnnularDiagram:
         return "{" + body + "}" + extra
 
 
+def _boundary_cycle(dom: int, cod: int, seam: int) -> list[Point]:
+    cycle = [("I", j) for j in range(dom)]
+    cycle += [("R", t) for t in range(seam)]
+    cycle += [("O", j) for j in reversed(range(cod))]
+    cycle += [("L", t) for t in reversed(range(seam))]
+    return cycle
+
+
+def _validate_arcs(dom: int, cod: int, seam: int, ess: int, arcs) -> None:
+    """Raise ValueError unless the arcs, in any order, are a canonical diagram."""
+    if min(dom, cod, seam, ess) < 0:
+        raise ValueError("negative size field")
+    # count first: the boundary is as long as the claimed seam
+    if 2 * len(arcs) != dom + cod + 2 * seam:
+        raise ValueError("arcs are not a perfect matching on the boundary")
+    cycle = _boundary_cycle(dom, cod, seam)
+    expected = set(cycle)
+    seen = set()
+    partner: dict[Point, Point] = {}
+    for p, q in arcs:
+        for x in (p, q):
+            if x not in expected:
+                raise ValueError(f"point {x} out of range")
+            if x in seen:
+                raise ValueError(f"point {x} used twice")
+            seen.add(x)
+        if p == q:
+            raise ValueError("arc endpoints coincide")
+        partner[p] = q
+        partner[q] = p
+    if seen != expected:
+        raise ValueError("arcs are not a perfect matching on the boundary")
+    # noncrossing check: arcs must nest properly along the boundary cycle
+    pos = {p: idx for idx, p in enumerate(cycle)}
+    stack: list[Point] = []
+    for p in cycle:
+        if stack and stack[-1] == partner[p]:
+            stack.pop()
+        elif pos[partner[p]] > pos[p]:
+            stack.append(p)
+        else:
+            raise ValueError(f"arcs cross near {p}")
+    if stack:
+        raise ValueError("arcs cross")
+    # seam minimality
+    for t in range(seam):
+        if partner.get(("L", t)) == ("R", t):
+            raise ValueError(f"reducible: essential circle at level {t}")
+        for kind in ("L", "R"):
+            if partner.get((kind, t)) == (kind, t + 1):
+                raise ValueError(f"reducible: {kind}-edge arc at levels {t},{t + 1}")
+    if ess:
+        for p, q in arcs:
+            if {p[0], q[0]} == {"I", "O"}:
+                raise ValueError("through strand coexists with an essential circle")
+
+
 # diagrams recur heavily during composition; interning keeps one object per
 # canonical form so hashing and equality usually reduce to identity checks
 _POOL: dict[tuple, AnnularDiagram] = {}
 CACHE_CLEARS.append(_POOL.clear)
 
 
-def _intern(dom: int, cod: int, seam: int, ess: int, arcs: tuple[Arc, ...]) -> AnnularDiagram:
-    key = (dom, cod, seam, ess, arcs)
+def _intern(dom: int, cod: int, seam: int, ess: int, codes: tuple[int, ...]) -> AnnularDiagram:
+    key = (dom, cod, seam, ess, codes)
     d = _POOL.get(key)
     if d is None:
-        d = _POOL.setdefault(key, AnnularDiagram(dom, cod, seam, ess, arcs))
+        d = _POOL.setdefault(key, AnnularDiagram(dom, cod, seam, ess, codes))
     return d
 
 
 def make_diagram(dom: int, cod: int, seam: int, ess: int, arcs) -> AnnularDiagram:
-    return _intern(dom, cod, seam, ess, _norm_arcs(arcs))
+    """The interned diagram with these arcs, given in any order."""
+    off = {"I": 0, "O": dom, "L": dom + cod, "R": dom + cod + seam}
+    codes = [-1] * (dom + cod + 2 * seam)
+    for (pk, pj), (qk, qj) in arcs:
+        p = off[pk] + pj
+        q = off[qk] + qj
+        codes[p] = q
+        codes[q] = p
+    return _intern(dom, cod, seam, ess, tuple(codes))
+
+
+# point tuples by kind and index, grown on demand and shared by all arcs
+_POINTS: dict[str, list[Point]] = {"I": [], "O": [], "L": [], "R": []}
+
+
+def _points(kind: str, n: int) -> list[Point]:
+    pts = _POINTS[kind]
+    while len(pts) < n:
+        pts.append((kind, len(pts)))
+    return pts[:n]
+
+
+def _point_names(dom: int, cod: int, seam: int) -> list[Point]:
+    """The point of each code."""
+    return _points("I", dom) + _points("O", cod) + _points("L", seam) + _points("R", seam)
 
 
 def _point_str(p: Point) -> str:
@@ -216,45 +258,47 @@ def _point_parse(s: str) -> Point:
 def diagram_from_json_obj(obj: dict, dom: int, cod: int) -> AnnularDiagram:
     arcs = [(_point_parse(p), _point_parse(q)) for p, q in obj["arcs"]]
     seam, ess = json_int(obj["seam"], "seam"), json_int(obj.get("ess", 0), "ess")
-    d = AnnularDiagram(dom, cod, seam, ess, _norm_arcs(arcs))
-    # validate before interning, so that a rejected diagram stays out of the pool
-    d.validate()
-    return _intern(d.dom, d.cod, d.seam, d.ess, d.arcs)
+    # validate the claimed arcs before a code is built or interned: the
+    # count bounds the claimed seam, and an out-of-range point would land
+    # in another block of the code
+    _validate_arcs(dom, cod, seam, ess, arcs)
+    return make_diagram(dom, cod, seam, ess, arcs)
 
 
 # -- composition ----------------------------------------------------------
 
-# point tuples by kind and index, grown on demand and shared by composites
-_POINTS: dict[str, list[Point]] = {"I": [], "O": [], "L": [], "R": []}
 
+def _reduce_seam(partner: list[int], levels: list[int], lo: int, ro: int) -> tuple[int, int]:
+    """Make an int-coded matching seam-minimal, in place.
 
-def _points(kind: str, n: int) -> list[Point]:
-    pts = _POINTS[kind]
-    while len(pts) < n:
-        pts.append((kind, len(pts)))
-    return pts
-
-
-def _seam_step(partner: list[int], levels: list[int], lo: int, ro: int):
-    """Make one seam reduction in place on compose's int codes.
-
-    Returns the (essential, inessential) circles it closed, or None when
-    the matching is already seam-minimal.  Levels are dropped lazily:
-    adjacency means consecutive in the list of surviving levels.
+    `partner` codes L_t as lo + t and R_t as ro + t, on the surviving
+    `levels`.  Returns the (essential, inessential) circles closed.  Each
+    pass makes the first reduction it finds, in this order: a same-level
+    arc, then an arc along the L edge, then along the R edge, lowest level
+    first.  Levels are dropped lazily: adjacency means consecutive in the
+    list of surviving levels.
     """
-    # a same-level arc L_t - R_t closes into a curve crossing the seam
-    # once: an essential circle
-    for t in levels:
-        if partner[lo + t] == ro + t:
-            partner[lo + t] = partner[ro + t] = -1
-            levels.remove(t)
-            return 1, 0
-    # an arc along one edge between adjacent surviving levels can be
-    # pulled off the seam, splicing whatever meets the opposite edge
-    for idx in range(len(levels) - 1):
-        t, t1 = levels[idx], levels[idx + 1]
-        for side, opp in ((lo, ro), (ro, lo)):
-            if partner[side + t] == side + t1:
+    ess = iness = 0
+    while levels:
+        # a same-level arc L_t - R_t closes into a curve crossing the seam
+        # once: an essential circle
+        for t in levels:
+            if partner[lo + t] == ro + t:
+                partner[lo + t] = partner[ro + t] = -1
+                levels.remove(t)
+                ess += 1
+                break
+        else:
+            # an arc along one edge between adjacent surviving levels can be
+            # pulled off the seam, splicing whatever meets the opposite edge
+            for idx in range(len(levels) - 1):
+                t, t1 = levels[idx], levels[idx + 1]
+                if partner[lo + t] == lo + t1:
+                    side, opp = lo, ro
+                elif partner[ro + t] == ro + t1:
+                    side, opp = ro, lo
+                else:
+                    continue
                 a, b = partner[opp + t], partner[opp + t1]
                 partner[side + t] = partner[side + t1] = partner[opp + t] = partner[opp + t1] = -1
                 del levels[idx : idx + 2]
@@ -262,20 +306,42 @@ def _seam_step(partner: list[int], levels: list[int], lo: int, ro: int):
                     # both edges carry the same hairpin: together they close
                     # into a loop crossing the seam twice with opposite
                     # orientations, an inessential circle
-                    return 0, 1
-                partner[a] = b
-                partner[b] = a
-                return 0, 0
-    return None
+                    iness += 1
+                else:
+                    partner[a] = b
+                    partner[b] = a
+                break
+            else:
+                break
+    return ess, iness
 
 
-def _code_arcs(partner: list[int], arcs, off: dict[str, int]) -> None:
-    """Enter each arc into `partner` as two int codes, off[kind] + index."""
-    for (pk, pj), (qk, qj) in arcs:
-        p = off[pk] + pj
-        q = off[qk] + qj
-        partner[p] = q
-        partner[q] = p
+# (inner.dom, inner.cod, outer.cod, inner.seam, outer.seam) -> the tables
+# by which `compose` reads the two partner codes, laid end to end as one
+# list of entries: the glued code of each point of either diagram, and a
+# getter of the entries of the glued boundary, in its code order
+_GLUE: dict[tuple[int, int, int, int, int], tuple[list[int], list[int], itemgetter]] = {}
+CACHE_CLEARS.append(_GLUE.clear)
+
+
+def _glue_tables(m: int, mid: int, n: int, ka: int, kb: int):
+    lo = m + n
+    ro = lo + ka + kb
+    mo = ro + ka + kb
+    na = m + mid + 2 * ka  # the outer diagram's entries start here
+    # the middle point M_j (inner O_j = outer I_j) is coded mo plus the entry
+    # where a strand goes on through it: outer I_j's entry for a strand that
+    # comes from the inner diagram, and inner O_j's for one from the outer
+    inner = [*range(m), *range(mo + na, mo + na + mid), *range(lo, lo + ka), *range(ro, ro + ka)]
+    outer = [*range(mo + m, mo + m + mid), *range(m, lo), *range(lo + ka, ro), *range(ro + ka, mo)]
+    ia, ob = m + mid, na + mid  # the inner L entries, the outer O entries
+    entries = [*range(m), *range(ob, ob + n), *range(ia, ia + ka), *range(ob + n, ob + n + kb),
+               *range(ia + ka, na), *range(ob + n + kb, ob + n + 2 * kb)]
+    # a matching never leaves one point on the boundary, and itemgetter()
+    # of none is refused
+    pick = itemgetter(*entries) if entries else lambda glued: ()
+    _GLUE[m, mid, n, ka, kb] = tables = (inner, outer, pick)
+    return tables
 
 
 @memo()
@@ -286,86 +352,82 @@ def compose(inner: AnnularDiagram, outer: AnnularDiagram):
     the number of inessential circles produced (factors of -2), and the
     total essential circle count carried by the composite.
 
-    Every point of the glued picture is an int code, in blocks: I_j -> j,
-    O_j -> m + j, L_t -> m + n + t, R_t -> m + n + k + t, and the middle
-    points M_j (inner O_j = outer I_j) last, where m = inner.dom,
-    n = outer.cod and k = inner.seam + outer.seam (outer levels sit above
-    the inner ones).  The blocks follow `point_key` order, and so does
-    the index order inside each block; dropping seam levels keeps the
-    order of those that survive.  So the arcs (c, partner[c]) with
-    c < partner[c], read in increasing c, are already the canonical sorted
-    arc tuple.
+    The glued picture is coded like a diagram m -> n with k = inner.seam +
+    outer.seam levels, the outer levels above the inner ones.  A per-shape
+    table turns both partner codes into glued codes at once, which reads
+    off every strand that misses the middle circle.  The rest are traced
+    from each middle point not yet walked, in both directions, to their
+    two boundary ends or around a closed loop.
     """
     if inner.cod != outer.dom:
         raise ValueError(
             f"cannot glue: inner codomain {inner.cod} != outer domain {outer.dom}"
         )
-    m, n, ka, mid = inner.dom, outer.cod, inner.seam, inner.cod
-    k = ka + outer.seam
-    lo = m + n
-    ro = lo + k
-    mo = ro + k  # the first middle point; codes below it are on the boundary
+    m, mid, n, ka, kb = inner.dom, inner.cod, outer.cod, inner.seam, outer.seam
+    ta, tb, pick = _GLUE.get((m, mid, n, ka, kb)) or _glue_tables(m, mid, n, ka, kb)
+    glued = list(map(ta.__getitem__, inner.codes))
+    na = len(glued)
+    glued += map(tb.__getitem__, outer.codes)
+    # right for every strand that misses the middle circle; a boundary
+    # point matched to a middle point is set below
+    partner = list(pick(glued))
+    mo = len(partner)
 
-    pa = [-1] * (mo + mid)
-    pb = [-1] * (mo + mid)
-    _code_arcs(pa, inner.arcs, {"I": 0, "O": mo, "L": lo, "R": ro})
-    _code_arcs(pb, outer.arcs, {"I": mo, "O": m, "L": lo + ka, "R": ro + ka})
-
-    # follow each strand from a boundary point across the middle circle,
-    # alternating between the two diagrams, to its other boundary end
-    partner = [-1] * mo
-    seen = [False] * mid
-    for start in range(mo):
-        if partner[start] >= 0:
-            continue
-        use, other = (pa, pb) if pa[start] >= 0 else (pb, pa)
-        cur = use[start]
-        while cur >= mo:
-            seen[cur - mo] = True
-            use, other = other, use
-            cur = use[cur]
-        partner[start] = cur
-        partner[cur] = start
-
+    # M_j has two entries, inner O_j's at m + j and outer I_j's at na + j.
+    # A walk through M_j reads the entry it leaves by and sets it to -1, so
+    # M_j has been walked once either entry is -1.
     iness = 0
     for j in range(mid):
-        if seen[j]:
+        a, b = glued[m + j], glued[na + j]
+        if a < 0 or b < 0:
             continue
-        # a component with no boundary endpoints: a closed loop confined
-        # between the two seams, which cannot wind, hence inessential
-        q = cur = mo + j
-        while True:
-            nxt = pa[cur]
-            seen[cur - mo] = seen[nxt - mo] = True
-            cur = pb[nxt]
-            if cur == q:
-                break
-        iness += 1
+        glued[m + j] = glued[na + j] = -1
+        while a >= mo:
+            e = a - mo
+            a = glued[e]
+            glued[e] = -1
+        if a < 0:
+            # back at M_j: a closed loop confined between the two seams,
+            # which cannot wind, hence inessential
+            iness += 1
+            continue
+        while b >= mo:
+            e = b - mo
+            b = glued[e]
+            glued[e] = -1
+        partner[a] = b
+        partner[b] = a
 
+    k = ka + kb
     return _canonical(partner, m, n, k, list(range(k)), inner.ess + outer.ess, iness)
 
 
 def _canonical(partner: list[int], m: int, n: int, k: int, levels: list[int], ess: int, iness: int):
-    """Reduce the seam of an int-coded matching and intern the diagram.
+    """Reduce the seam of an int-coded matching and return the pooled diagram.
 
     `partner` matches the codes I_j -> j, O_j -> m + j, L_t -> m + n + t
     and R_t -> m + n + k + t on the surviving `levels`, and is reduced in
     place.  `ess` and `iness` count the circles closed before; returns
     (diagram, inessential, essential) with the circles of the reduction
-    added, as `compose` does.
+    added, as `compose` does.  The surviving levels are renumbered
+    0, 1, ... into the composite's code, which is the pool key, so a
+    diagram already in the pool costs one lookup and builds nothing.
     """
     lo = m + n
     ro = lo + k
-    while step := _seam_step(partner, levels, lo, ro):
-        ess += step[0]
-        iness += step[1]
-
-    ls, rs = _points("L", len(levels)), _points("R", len(levels))
-    names = _points("I", m)[:m] + _points("O", n)[:n] + [None] * (2 * k)
-    for s, t in enumerate(levels):
-        names[lo + t], names[ro + t] = ls[s], rs[s]
-    arcs = tuple([(names[c], names[p]) for c, p in enumerate(partner) if c < p])
-    return _intern(m, n, len(levels), ess, arcs), iness, ess
+    closed = _reduce_seam(partner, levels, lo, ro)
+    ess += closed[0]
+    iness += closed[1]
+    seam = len(levels)
+    if seam < k:
+        ren = list(range(ro + k))  # the new code of each old one
+        for s, t in enumerate(levels):
+            ren[lo + t] = lo + s
+            ren[ro + t] = lo + seam + s
+        partner = [ren[c] for c in partner[:lo]] + [ren[partner[lo + t]] for t in levels] + [
+            ren[partner[ro + t]] for t in levels
+        ]
+    return _intern(m, n, seam, ess, tuple(partner)), iness, ess
 
 
 # -- diagram constructors -------------------------------------------------
@@ -481,11 +543,8 @@ class Morphism(Combination):
         return c == ONE and d == id_diagram(self.dom)
 
     def sorted_terms(self) -> list[tuple[AnnularDiagram, GaussianRational]]:
-        def key(item):
-            d = item[0]
-            return (d.seam, d.ess, tuple((point_key(p), point_key(q)) for p, q in d.arcs))
-
-        return sorted(self.terms.items(), key=key)
+        # within one shape the code order is the order of the sorted arcs
+        return sorted(self.terms.items(), key=lambda item: (item[0].seam, item[0].ess, item[0].codes))
 
     # -- serialization ------------------------------------------------------
 

@@ -36,8 +36,7 @@ from .diagram import (
     AnnularDiagram,
     Morphism,
     _canonical,
-    _code_arcs,
-    _seam_step,
+    _reduce_seam,
     compose,
     d_diagram,
     gen_cap,
@@ -59,9 +58,11 @@ CACHE_CLEARS.append(_factor_cache.clear)
 
 def _find_turnback(d: AnnularDiagram, side: str) -> int | None:
     """The first j with an arc side_j - side_{j+1}: a cap on "I", a cup on "O"."""
-    for j in range((d.dom if side == "I" else d.cod) - 1):
-        if ((side, j), (side, j + 1)) in d.arcs:
-            return j
+    off, size = (0, d.dom) if side == "I" else (d.dom, d.cod)
+    codes = d.codes
+    for j in range(off, off + size - 1):
+        if codes[j] == j + 1:
+            return j - off
     return None
 
 
@@ -181,7 +182,7 @@ def iota_diagram(d: AnnularDiagram) -> Morphism:
     carries R_t on.  At the top the carried end meets O_n.
 
     The 2^seam states collapse to few diagrams, so each partial state is
-    reduced (`_seam_step`) on the levels already walked and below the
+    reduced (`_reduce_seam`) on the levels already walked and below the
     carried end, and equal partial states are merged before the next level.
     A reduction can join R_t to the carried end; the crossing at R_t then
     closes the carried curve on itself, and the two smoothings add up to
@@ -199,8 +200,10 @@ def iota_diagram(d: AnnularDiagram) -> Morphism:
     m, n, k = d.dom + 1, d.cod + 1, d.seam
     lo = m + n
     ro = lo + k
-    base = [-1] * (ro + k)
-    _code_arcs(base, d.arcs, {"I": 0, "O": m, "L": lo, "R": ro})
+    # d's code shifted past the new points I_{m-1} and O_{n-1}, both unmatched
+    shift = [*range(m - 1), *range(m, lo - 1), *range(lo, ro + k)]
+    coded = [shift[c] for c in d.codes]
+    base = coded[: m - 1] + [-1] + coded[m - 1 : lo - 2] + [-1] + coded[lo - 2 :]
     # (partner codes, carried end, surviving levels, essential circles) ->
     # coefficient; the carried end's own entry is -1
     states = {(tuple(base), m - 1, tuple(range(k)), 0): 1}
@@ -228,9 +231,8 @@ def iota_diagram(d: AnnularDiagram) -> Morphism:
                     cut = t + 1 if new < lo else min(t + 1, (new - lo) % k)
                     i = bisect_left(levels, cut)
                     done = list(levels[:i])
-                    while step := _seam_step(p, done, lo, ro):
-                        e += step[0]
-                        iness += step[1]
+                    closed, iness = _reduce_seam(p, done, lo, ro)
+                    e += closed
                     if quotient and e:
                         continue
                     if len(done) < i:
@@ -299,11 +301,12 @@ def _tensor_planar(x: Morphism, y: Morphism) -> Morphism:
     def shift(p):
         return (p[0], p[1] + (x.dom if p[0] == "I" else x.cod))
 
+    left = [(dx.arcs, cx) for dx, cx in x.terms.items()]
     right = [(tuple((shift(p), shift(q)) for p, q in dy.arcs), cy) for dy, cy in y.terms.items()]
     dom, cod = x.dom + y.dom, x.cod + y.cod
     return Morphism._sum(dom, cod, (
-        (make_diagram(dom, cod, 0, 0, dx.arcs + arcs), cx * cy)
-        for dx, cx in x.terms.items() for arcs, cy in right
+        (make_diagram(dom, cod, 0, 0, arcs_x + arcs_y), cx * cy)
+        for arcs_x, cx in left for arcs_y, cy in right
     ))
 
 

@@ -30,7 +30,6 @@ import json
 import re
 from fractions import Fraction
 from functools import wraps
-from itertools import chain
 from math import gcd, lcm
 
 _TERM = re.compile(r"\s*(?P<sign>[+-]?)\s*(?P<mag>\d+(?:/\d+)?)?(?P<unit>i)?")
@@ -346,11 +345,18 @@ class Combination:
                 raise cls._misfit(k, dom, cod)
             if a or b:
                 clean[k] = _make(a, b, d)
-        # set the slots directly: __init__ would check every key again
+        return cls._checked(dom, cod, clean)
+
+    @classmethod
+    def _checked(cls, dom: int, cod: int, terms: dict):
+        """The combination of `terms`, known to be nonzero and to fit dom -> cod.
+
+        The slots are set directly: __init__ would check every key again.
+        """
         out = _new(cls)
         _setattr(out, "dom", dom)
         _setattr(out, "cod", cod)
-        _setattr(out, "terms", clean)
+        _setattr(out, "terms", terms)
         return out
 
     # -- linear structure ---------------------------------------------------
@@ -362,18 +368,29 @@ class Combination:
             raise ValueError(
                 f"shape mismatch: {self.dom}->{self.cod} vs {other.dom}->{other.cod}"
             )
-        return self._sum(self.dom, self.cod, chain(self.terms.items(), other.terms.items()))
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            prev = terms.get(k)
+            if prev is None:
+                terms[k] = c
+            elif total := prev + c:
+                terms[k] = total
+            else:
+                del terms[k]
+        return self._checked(self.dom, self.cod, terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return type(self)(self.dom, self.cod, {k: -c for k, c in self.terms.items()})
+        return self._checked(self.dom, self.cod, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
         if not isinstance(c, GaussianRational):
             c = GaussianRational(c)
-        return type(self)(self.dom, self.cod, {k: v * c for k, v in self.terms.items()})
+        # a product of two nonzero numbers is nonzero
+        terms = {k: v * c for k, v in self.terms.items()} if c else {}
+        return self._checked(self.dom, self.cod, terms)
 
     # -- comparisons ----------------------------------------------------------
 

@@ -41,7 +41,7 @@ from atlq import (
     tensor,
 )
 from atlq.config import MODE_QUOTIENT, get_config
-from atlq.diagram import AnnularDiagram, Arc, Point, _intern, _KIND_ORDER, compose, point_key
+from atlq.diagram import AnnularDiagram, Arc, Point, _KIND_ORDER, compose, make_diagram, point_key
 from atlq.rep import WeightMap, sign_strings
 from atlq.scalar import I, MINUS_I, MINUS_TWO, ONE, ZERO, GaussianRational
 
@@ -351,7 +351,7 @@ def reference_compose(inner: AnnularDiagram, outer: AnnularDiagram):
         iness += 1
 
     k, iness2, ess = _reduce_seam(partner, ka + outer.seam, inner.ess + outer.ess)
-    diagram = _intern(inner.dom, outer.cod, k, ess, _partner_to_arcs(partner))
+    diagram = make_diagram(inner.dom, outer.cod, k, ess, _partner_to_arcs(partner))
     return diagram, iness + iness2, ess
 
 

@@ -18,6 +18,7 @@ from atlq import (
     clear_caches,
     configure,
     crossing,
+    diagram,
     extremal,
     gen_cap,
     gen_cup,
@@ -30,7 +31,6 @@ from atlq import (
 from atlq.config import get_config
 from atlq.diagram import (
     _POOL,
-    AnnularDiagram,
     cap_diagram,
     compose,
     cup_diagram,
@@ -48,6 +48,7 @@ from helpers import (
     reference_compose,
     reference_inputs,
     reference_mor_compose,
+    wound_diagrams,
 )
 
 
@@ -191,6 +192,46 @@ def test_compose_matches_reference(mode):
     with pytest.raises(ValueError) as want_err:
         reference_compose(only_diagram(inner), only_diagram(outer))
     assert str(got_err.value) == str(want_err.value)
+
+
+def _code_of_arcs(d) -> tuple:
+    """The partner code of d's arcs, built without `make_diagram`."""
+    off = {"I": 0, "O": d.dom, "L": d.dom + d.cod, "R": d.dom + d.cod + d.seam}
+    codes = [None] * (d.dom + d.cod + 2 * d.seam)
+    for (pk, pj), (qk, qj) in d.arcs:
+        codes[off[pk] + pj], codes[off[qk] + qj] = off[qk] + qj, off[pk] + pj
+    return tuple(codes)
+
+
+@pytest.mark.parametrize("mode", ["quotient", "raw"])
+def test_the_partner_code_is_the_stored_form(mode):
+    pool = reference_inputs(mode)
+    if mode == "quotient":
+        pool = list(dict.fromkeys(pool + wound_diagrams(random.Random(20261019), 200, 40)))
+    assert max(d.seam for d in pool) >= 8
+    by_shape: dict[tuple[int, int], list] = {}
+    for d in pool:
+        by_shape.setdefault((d.dom, d.cod), []).append(d)
+    from_json = [
+        d for (dom, cod), ds in by_shape.items()
+        for d in Morphism.loads(Morphism(dom, cod, dict.fromkeys(ds, ONE)).dumps()).terms
+    ]
+    from_pickle = pickle.loads(pickle.dumps(pool))
+    # reading a diagram back finds the one already interned
+    assert sorted(map(id, from_json)) == sorted(map(id, pool))
+    assert all(d is e for d, e in zip(from_pickle, pool))
+    for d in pool:
+        assert _code_of_arcs(d) == d.codes
+        assert make_diagram(d.dom, d.cod, d.seam, d.ess, d.arcs) is d
+    by_dom: dict[int, list] = {}
+    for d in pool:
+        by_dom.setdefault(d.dom, []).append(d)
+    inners = [d for d in pool if d.cod in by_dom]
+    rng = random.Random(f"stored-{mode}")
+    for _ in range(1000):
+        inner = rng.choice(inners)
+        outer = rng.choice(by_dom[inner.cod])
+        assert compose(inner, outer)[0] is reference_compose(inner, outer)[0]
 
 
 @pytest.mark.parametrize("mode", ["quotient", "raw"])
@@ -397,12 +438,13 @@ def test_json_shape_is_guarded_before_any_term_is_read():
 
 
 def test_json_seam_is_checked_against_the_arcs_first(monkeypatch):
-    # a claimed seam of 10^9 under one arc: building the boundary cycle
-    # first would cost memory in proportion to the claim
-    def no_cycle(self):
-        raise AssertionError("boundary cycle built before the arc count was checked")
+    # a claimed seam of 10^9 under one arc: building the boundary cycle or
+    # the partner code first would cost memory in proportion to the claim
+    def too_early(*args):
+        raise AssertionError("boundary or code built before the arc count was checked")
 
-    monkeypatch.setattr(AnnularDiagram, "boundary_cycle", no_cycle)
+    monkeypatch.setattr(diagram, "_boundary_cycle", too_early)
+    monkeypatch.setattr(diagram, "make_diagram", too_early)
     deep = {"seam": 10**9, "ess": 0, "arcs": [["I0", "O0"]]}
     before = len(_POOL)
     with pytest.raises(ValueError, match="not a perfect matching"):

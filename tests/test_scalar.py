@@ -234,6 +234,37 @@ def test_combination_core(cls, key, misfit):
 
 
 @pytest.mark.parametrize(
+    "cls, key, other, misfit_json",
+    [
+        (Morphism, u_diagram(2, 1), id_diagram(2),
+         '{"dom": 2, "cod": 2, "terms": [{"coeff": "1", "diagram": {"seam": 0, "arcs": [["I0", "O0"]]}}]}'),
+        (WeightMap, ("+-", "-+"), ("++", "++"), '{"dom": 2, "cod": 2, "entries": [["+", "+-", "1"]]}'),
+    ],
+    ids=["Morphism", "WeightMap"],
+)
+def test_linear_structure_checks_no_key_again(cls, key, other, misfit_json, monkeypatch):
+    x = cls(2, 2, {key: HALF, other: I})
+    y = cls(2, 2, {other: -I, key: ONE})
+    checked = []
+    shape = cls._key_shape
+    monkeypatch.setattr(cls, "_key_shape", staticmethod(lambda k: checked.append(k) or shape(k)))
+    results = [x.scale(0), x + (-x), x + y, x - y, x.scale(I)]
+    # keys taken from combinations of the same shape are not checked again
+    assert checked == []
+    assert results[0].is_zero() and results[1].is_zero()
+    # zero sums are dropped, and the keys keep their first-occurrence order
+    assert list(results[2].terms.items()) == [(key, HALF + ONE)]
+    assert list(results[3].terms.items()) == [(key, HALF - ONE), (other, I + I)]
+    assert results[3] == cls._sum(2, 2, [(key, HALF), (other, I), (key, -ONE), (other, I)])
+    assert results[4] == cls(2, 2, {key: HALF * I, other: I * I})
+    # construction and the JSON reader still check every key
+    with pytest.raises(ValueError):
+        cls(2, 2, {key: ONE, ("+", "+") if cls is WeightMap else id_diagram(3): ONE})
+    with pytest.raises(ValueError):
+        cls.loads(misfit_json)
+
+
+@pytest.mark.parametrize(
     "value",
     [
         HALF,
