@@ -74,21 +74,10 @@ def labels_from_matching(d: AnnularDiagram) -> LabelString:
     """Inverse of matching_from_labels on canonical 0 -> 2n diagrams."""
     if d.dom != 0:
         raise ValueError("labels are defined for diagrams out of 0")
-    out = [""] * d.cod
-    for p, q in d.arcs:
-        kinds = (p[0], q[0])
-        if kinds == ("O", "O"):
-            out[p[1]] = "i"
-            out[q[1]] = "o"
-        elif "R" in kinds:
-            o = p if p[0] == "O" else q
-            out[o[1]] = "i"
-        elif "L" in kinds:
-            o = p if p[0] == "O" else q
-            out[o[1]] = "o"
-        else:
-            raise ValueError("not a diagram out of 0")
-    return "".join(out)
+    # O_j is code j; its partner is an earlier O or an L point where the
+    # strand comes back, else a later O or an R point
+    n = d.cod
+    return "".join(["o" if p < j or n <= p < n + d.seam else "i" for j, p in enumerate(d.codes[:n])])
 
 
 def enumerate_basis(n_points: int) -> list[AnnularDiagram]:

@@ -28,9 +28,10 @@ over the ATL_MODE / ATL_MAX_STRANDS environment variables.
 Bad input (an unknown or out-of-range operand, mismatched shapes, a
 projector size outside its range, a negative verify MAX, a file that
 cannot be read or written, a bad --max-strands, ATL_MODE or
-ATL_MAX_STRANDS value, or a projector, tensor product or coordinate
-basis over --max-strands) is reported on one "error: ..." line with
-exit status 2.
+ATL_MAX_STRANDS value, a projector, tensor product or coordinate basis
+over --max-strands, or a tensor product or partial trace that would
+superpose a strand over an essential circle) is reported on one
+"error: ..." line with exit status 2.
 """
 
 from __future__ import annotations
@@ -167,6 +168,13 @@ def cmd_eval(args) -> int:
         _usage_error(f"cannot tensor {shapes}: the result exceeds the configured limit of {limit}")
     if op == "coords" and ms[0].dom + ms[0].cod > limit:
         _usage_error(f"cannot take coordinates of {shapes}: dom + cod exceeds the configured limit of {limit}")
+    # iota cannot insert a strand over an essential circle: x (x) y inserts
+    # y.cod strands into x and x.dom into y, and a non-planar trace one into x
+    wound = [any(d.ess for d in x.terms) for x in ms]
+    if op == "tensor" and (wound[0] and ms[1].cod or wound[1] and ms[0].dom):
+        _usage_error(f"cannot tensor {shapes}: a strand cannot be superposed over an essential circle")
+    if op == "ptrace" and wound[0]:
+        _usage_error(f"cannot close a strand of {shapes}: a strand cannot be superposed over an essential circle")
     # a non-planar trace runs cap . iota(x) . cup, one strand wider than x
     if op == "ptrace" and not is_planar(ms[0]) and max(ms[0].dom, ms[0].cod) + 1 > limit:
         _usage_error(f"cannot close a strand of {shapes}: the non-planar trace needs one strand over the configured limit of {limit}")

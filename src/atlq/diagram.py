@@ -36,10 +36,11 @@ blocks I, O, L, R, each block in index order: I_j -> j, O_j -> m + j,
 L_t -> m + n + t and R_t -> m + n + k + t.  `codes[c]` is the code of the
 point matched to c.  That is `point_key` order, so the arcs (c, codes[c])
 with c < codes[c], read in increasing c, are the canonical sorted arc
-tuple; `arcs` is that view, built on demand for validation, JSON text,
-printing, rendering and the planar builders.  The code, with the sizes
-and the essential circle count, is the diagram's hash, its equality and
-its key in the pool that interns it.
+tuple; `arcs` is that view, built on demand for JSON text, printing and
+rendering only.  `make_diagram` codes the readable arc lists of the
+constructors, and `validate` checks the stored code.  The code, with the
+sizes and the essential circle count, is the diagram's hash, its
+equality and its key in the pool that interns it.
 
 `Morphism` is a finite linear combination of diagrams with coefficients in
 Q(i): a `scalar.Combination` whose keys are diagrams, from which it
@@ -116,16 +117,9 @@ class AnnularDiagram:
         names = _point_names(self.dom, self.cod, self.seam)
         return tuple([(names[c], names[p]) for c, p in enumerate(self.codes) if c < p])
 
-    def boundary_cycle(self) -> list[Point]:
-        return _boundary_cycle(self.dom, self.cod, self.seam)
-
-    def partner_map(self) -> dict[Point, Point]:
-        names = _point_names(self.dom, self.cod, self.seam)
-        return {names[c]: names[p] for c, p in enumerate(self.codes)}
-
     def validate(self) -> None:
-        """Raise ValueError unless this is a canonical diagram."""
-        _validate_arcs(self.dom, self.cod, self.seam, self.ess, self.arcs)
+        """Raise ValueError unless the stored code is a canonical diagram."""
+        _validate_code(self.dom, self.cod, self.seam, self.ess, self.codes)
 
     # -- serialization ----------------------------------------------------
 
@@ -142,61 +136,46 @@ class AnnularDiagram:
         return "{" + body + "}" + extra
 
 
-def _boundary_cycle(dom: int, cod: int, seam: int) -> list[Point]:
-    cycle = [("I", j) for j in range(dom)]
-    cycle += [("R", t) for t in range(seam)]
-    cycle += [("O", j) for j in reversed(range(cod))]
-    cycle += [("L", t) for t in reversed(range(seam))]
-    return cycle
-
-
-def _validate_arcs(dom: int, cod: int, seam: int, ess: int, arcs) -> None:
-    """Raise ValueError unless the arcs, in any order, are a canonical diagram."""
+def _check_shape(dom: int, cod: int, seam: int, ess: int, points: int) -> None:
+    """Refuse a negative size, or `points` ends for a boundary of another length."""
     if min(dom, cod, seam, ess) < 0:
         raise ValueError("negative size field")
-    # count first: the boundary is as long as the claimed seam
-    if 2 * len(arcs) != dom + cod + 2 * seam:
+    if points != dom + cod + 2 * seam:
         raise ValueError("arcs are not a perfect matching on the boundary")
-    cycle = _boundary_cycle(dom, cod, seam)
-    expected = set(cycle)
-    seen = set()
-    partner: dict[Point, Point] = {}
-    for p, q in arcs:
-        for x in (p, q):
-            if x not in expected:
-                raise ValueError(f"point {x} out of range")
-            if x in seen:
-                raise ValueError(f"point {x} used twice")
-            seen.add(x)
-        if p == q:
+
+
+def _validate_code(dom: int, cod: int, seam: int, ess: int, codes) -> None:
+    """Raise ValueError unless `codes` is the partner code of a canonical diagram."""
+    size = len(codes)
+    _check_shape(dom, cod, seam, ess, size)
+    for c, p in enumerate(codes):
+        if not 0 <= p < size or codes[p] != c:
+            raise ValueError("arcs are not a perfect matching on the boundary")
+        if p == c:
             raise ValueError("arc endpoints coincide")
-        partner[p] = q
-        partner[q] = p
-    if seen != expected:
-        raise ValueError("arcs are not a perfect matching on the boundary")
-    # noncrossing check: arcs must nest properly along the boundary cycle
-    pos = {p: idx for idx, p in enumerate(cycle)}
-    stack: list[Point] = []
-    for p in cycle:
-        if stack and stack[-1] == partner[p]:
+    # noncrossing check: arcs must nest properly along the boundary cycle,
+    # read I_0..I_{m-1}, R_0..R_{k-1}, O_{n-1}..O_0, L_{k-1}..L_0
+    lo = dom + cod
+    ro = lo + seam
+    cycle = [*range(dom), *range(ro, size), *range(lo - 1, dom - 1, -1), *range(ro - 1, lo - 1, -1)]
+    pos = {c: i for i, c in enumerate(cycle)}
+    stack: list[int] = []
+    for c in cycle:
+        if stack and stack[-1] == codes[c]:
             stack.pop()
-        elif pos[partner[p]] > pos[p]:
-            stack.append(p)
+        elif pos[codes[c]] > pos[c]:
+            stack.append(c)
         else:
-            raise ValueError(f"arcs cross near {p}")
-    if stack:
-        raise ValueError("arcs cross")
+            raise ValueError(f"arcs cross near {_point_names(dom, cod, seam)[c]}")
     # seam minimality
     for t in range(seam):
-        if partner.get(("L", t)) == ("R", t):
+        if codes[lo + t] == ro + t:
             raise ValueError(f"reducible: essential circle at level {t}")
-        for kind in ("L", "R"):
-            if partner.get((kind, t)) == (kind, t + 1):
+        for kind, off in (("L", lo), ("R", ro)):
+            if t + 1 < seam and codes[off + t] == off + t + 1:
                 raise ValueError(f"reducible: {kind}-edge arc at levels {t},{t + 1}")
-    if ess:
-        for p, q in arcs:
-            if {p[0], q[0]} == {"I", "O"}:
-                raise ValueError("through strand coexists with an essential circle")
+    if ess and any(dom <= codes[c] < lo for c in range(dom)):
+        raise ValueError("through strand coexists with an essential circle")
 
 
 # diagrams recur heavily during composition; interning keeps one object per
@@ -213,32 +192,39 @@ def _intern(dom: int, cod: int, seam: int, ess: int, codes: tuple[int, ...]) -> 
     return d
 
 
+def _code_of(dom: int, cod: int, seam: int, arcs) -> tuple[int, ...]:
+    """The partner code of arcs given in any order.
+
+    Refuses a point outside its block or used twice; arcs as many as the
+    boundary has point pairs, which the caller checks, then cover it.
+    """
+    code = {p: c for c, p in enumerate(_point_names(dom, cod, seam))}
+    codes = [-1] * len(code)
+    for arc in arcs:
+        ends = []
+        for x in arc:
+            c = code.get(x)
+            if c is None:
+                raise ValueError(f"point {x} out of range")
+            if codes[c] >= 0:
+                raise ValueError(f"point {x} used twice")
+            codes[c] = c  # taken, so an arc from x to itself is refused
+            ends.append(c)
+        p, q = ends
+        codes[p], codes[q] = q, p
+    return tuple(codes)
+
+
 def make_diagram(dom: int, cod: int, seam: int, ess: int, arcs) -> AnnularDiagram:
     """The interned diagram with these arcs, given in any order."""
-    off = {"I": 0, "O": dom, "L": dom + cod, "R": dom + cod + seam}
-    codes = [-1] * (dom + cod + 2 * seam)
-    for (pk, pj), (qk, qj) in arcs:
-        p = off[pk] + pj
-        q = off[qk] + qj
-        codes[p] = q
-        codes[q] = p
-    return _intern(dom, cod, seam, ess, tuple(codes))
-
-
-# point tuples by kind and index, grown on demand and shared by all arcs
-_POINTS: dict[str, list[Point]] = {"I": [], "O": [], "L": [], "R": []}
-
-
-def _points(kind: str, n: int) -> list[Point]:
-    pts = _POINTS[kind]
-    while len(pts) < n:
-        pts.append((kind, len(pts)))
-    return pts[:n]
+    _check_shape(dom, cod, seam, ess, 2 * len(arcs))
+    return _intern(dom, cod, seam, ess, _code_of(dom, cod, seam, arcs))
 
 
 def _point_names(dom: int, cod: int, seam: int) -> list[Point]:
     """The point of each code."""
-    return _points("I", dom) + _points("O", cod) + _points("L", seam) + _points("R", seam)
+    blocks = (("I", dom), ("O", cod), ("L", seam), ("R", seam))
+    return [(kind, j) for kind, size in blocks for j in range(size)]
 
 
 def _point_str(p: Point) -> str:
@@ -258,11 +244,12 @@ def _point_parse(s: str) -> Point:
 def diagram_from_json_obj(obj: dict, dom: int, cod: int) -> AnnularDiagram:
     arcs = [(_point_parse(p), _point_parse(q)) for p, q in obj["arcs"]]
     seam, ess = json_int(obj["seam"], "seam"), json_int(obj.get("ess", 0), "ess")
-    # validate the claimed arcs before a code is built or interned: the
-    # count bounds the claimed seam, and an out-of-range point would land
-    # in another block of the code
-    _validate_arcs(dom, cod, seam, ess, arcs)
-    return make_diagram(dom, cod, seam, ess, arcs)
+    # count the arcs before a code is built: the boundary is as long as the
+    # claimed seam; and intern the code only once it has passed
+    _check_shape(dom, cod, seam, ess, 2 * len(arcs))
+    codes = _code_of(dom, cod, seam, arcs)
+    _validate_code(dom, cod, seam, ess, codes)
+    return _intern(dom, cod, seam, ess, codes)
 
 
 # -- composition ----------------------------------------------------------

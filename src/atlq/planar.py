@@ -36,8 +36,11 @@ from .diagram import (
     AnnularDiagram,
     Morphism,
     _canonical,
+    _intern,
     _reduce_seam,
+    cap_diagram,
     compose,
+    cup_diagram,
     d_diagram,
     gen_cap,
     gen_cup,
@@ -67,14 +70,13 @@ def _find_turnback(d: AnnularDiagram, side: str) -> int | None:
 
 
 def _strip_turnback(d: AnnularDiagram, side: str, j: int) -> AnnularDiagram:
-    def fix(x):
-        return (side, x[1] - 2) if x[0] == side and x[1] > j + 1 else x
-
-    turn = ((side, j), (side, j + 1))
-    arcs = [(fix(p), fix(q)) for p, q in d.arcs if (p, q) != turn]
+    """d without its cap (side "I") or cup (side "O") at j: d . cup or cap . d."""
     if side == "I":
-        return make_diagram(d.dom - 2, d.cod, d.seam, d.ess, arcs)
-    return make_diagram(d.dom, d.cod - 2, d.seam, d.ess, arcs)
+        out, iness, _ = compose(cup_diagram(d.dom - 2, j), d)
+    else:
+        out, iness, _ = compose(d, cap_diagram(d.cod, j))
+    assert iness == 1 and out.ess == d.ess
+    return out
 
 
 def _rotate(d: AnnularDiagram, e: int, side: str) -> AnnularDiagram:
@@ -298,15 +300,17 @@ def tensor(x: Morphism, y: Morphism) -> Morphism:
 
 
 def _tensor_planar(x: Morphism, y: Morphism) -> Morphism:
-    def shift(p):
-        return (p[0], p[1] + (x.dom if p[0] == "I" else x.cod))
-
-    left = [(dx.arcs, cx) for dx, cx in x.terms.items()]
-    right = [(tuple((shift(p), shift(q)) for p, q in dy.arcs), cy) for dy, cy in y.terms.items()]
-    dom, cod = x.dom + y.dom, x.cod + y.cod
+    a, b, c, e = x.dom, x.cod, y.dom, y.cod
+    dom, cod = a + c, b + e
+    # the composite's code of each point of x, and of y: x's points come
+    # first on either edge
+    mx = [*range(a), *range(dom, dom + b)]
+    my = [*range(a, dom), *range(dom + b, dom + cod)]
+    left = [([mx[p] for p in d.codes[:a]], [mx[p] for p in d.codes[a:]], v) for d, v in x.terms.items()]
+    right = [([my[p] for p in d.codes[:c]], [my[p] for p in d.codes[c:]], v) for d, v in y.terms.items()]
     return Morphism._sum(dom, cod, (
-        (make_diagram(dom, cod, 0, 0, arcs_x + arcs_y), cx * cy)
-        for arcs_x, cx in left for arcs_y, cy in right
+        (_intern(dom, cod, 0, 0, tuple(xi + yi + xo + yo)), cx * cy)
+        for xi, xo, cx in left for yi, yo, cy in right
     ))
 
 
@@ -315,19 +319,22 @@ def partial_trace(x: Morphism) -> Morphism:
     if x.dom < 1 or x.cod < 1:
         raise ValueError("partial trace needs at least one strand on each side")
     if is_planar(x):
-        last_i, last_o = ("I", x.dom - 1), ("O", x.cod - 1)
+        m, n = x.dom, x.cod
+        last_i, last_o = m - 1, m + n - 1
+        keep = [*range(last_i), *range(m, last_o)]
 
         def closed(d, c):
-            partner = d.partner_map()
-            if partner[last_i] == last_o:
-                arcs = [a for a in d.arcs if last_i not in a]
+            p = list(d.codes)
+            a, b = p[last_i], p[last_o]
+            if a == last_o:
                 c = c * MINUS_TWO
             else:
-                arcs = [a for a in d.arcs if last_i not in a and last_o not in a]
-                arcs.append((partner[last_i], partner[last_o]))
-            return make_diagram(x.dom - 1, x.cod - 1, 0, 0, arcs), c
+                p[a], p[b] = b, a
+            # the codes past I_{m-1} move down one
+            codes = tuple([q - (q > last_i) for q in map(p.__getitem__, keep)])
+            return _intern(m - 1, n - 1, 0, 0, codes), c
 
-        return Morphism._sum(x.dom - 1, x.cod - 1, (closed(d, c) for d, c in x.terms.items()))
+        return Morphism._sum(m - 1, n - 1, (closed(d, c) for d, c in x.terms.items()))
     return gen_cap(x.cod + 1, x.cod - 1) * iota(x) * gen_cup(x.dom - 1, x.dom - 1)
 
 

@@ -14,7 +14,7 @@ point coordinates are emitted with a fixed number of decimals.
 
 from __future__ import annotations
 
-from .diagram import AnnularDiagram, Morphism, point_key
+from .diagram import AnnularDiagram, Morphism, _point_names
 
 PAD = 30.0
 CAP = 18.0
@@ -113,7 +113,7 @@ def _svg_panel(
                 f'<line x1="0" y1="{_fmt(y)}" x2="{_fmt(box_w)}" y2="{_fmt(y)}" '
                 'stroke="#b00" stroke-width="1.5" stroke-dasharray="6 4"/>'
             )
-        for p in sorted(d.boundary_cycle(), key=point_key):
+        for p in _point_names(d.dom, d.cod, d.seam):
             x, y, nx, ny = _point_xy(d, p, box_w, box_h)
             out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.2" fill="#000"/>')
             label = f"{p[0]}{p[1]}"
@@ -178,7 +178,7 @@ def render_tikz(m: Morphism) -> str:
                     f"\\draw[red,dashed] ({f(sx(0.0))},{f(sy(y))}) --"
                     f" ({f(sx(box_w))},{f(sy(y))});"
                 )
-            for p in sorted(diag.boundary_cycle(), key=point_key):
+            for p in _point_names(diag.dom, diag.cod, diag.seam):
                 x, y, _, _ = _point_xy(diag, p, box_w, box_h)
                 out.append(f"\\fill ({f(sx(x))},{f(sy(y))}) circle (1.5pt);")
         x_off += box_w + 2 * PAD

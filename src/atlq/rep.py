@@ -56,7 +56,7 @@ from math import gcd, lcm
 from sys import intern
 
 from .config import CACHE_CLEARS
-from .diagram import AnnularDiagram, Morphism, Point
+from .diagram import AnnularDiagram, Morphism
 from .scalar import I, MINUS_I, MINUS_ONE, ONE, ZERO, Combination, GaussianRational
 from .scalar import _make, accumulate, json_int, json_reader
 
@@ -156,42 +156,50 @@ class WeightMap(Combination):
 # -- evaluating diagrams ------------------------------------------------------
 
 
-# quarter turns of a segment by (entry kind, exit kind), besides I-I and
-# O-O arcs, which turn by index; and of an exit through the seam
-_TURNS = {("O", "R"): 2, ("L", "I"): 2}
-_EXIT_TURNS = {"L": 1, "R": 3}
-_OTHER_EDGE = {"L": "R", "R": "L"}
-# the sign of an I or O end where an orientation starts, and where it stops
-_START_SIGN = {"I": "+", "O": "-"}
-_STOP_SIGN = {"I": "-", "O": "+"}
+# a point's block by its code: I = 0, O = 1, L = 2, R = 3.  Quarter turns
+# of a segment by (entry block, exit block), besides I-I and O-O arcs,
+# which turn by index; and of an exit through the seam
+_TURNS = {(1, 3): 2, (2, 0): 2}
+_EXIT_TURNS = (0, 0, 1, 3)
+# the sign of an I or O end where an orientation starts, and where it
+# stops, by block
+_START_SIGN = ("+", "-")
+_STOP_SIGN = ("-", "+")
 _I_POWERS = (ONE, I, MINUS_ONE, MINUS_I)
 
 
-def _turns(p: Point, q: Point) -> int:
-    """Quarter turns of the segment p -> q, its exit included."""
-    if p[0] == q[0]:  # an I-I cap or an O-O cup
-        k = 2 if p[1] < q[1] else 0
+def _turns(p: int, q: int, bp: int, bq: int) -> int:
+    """Quarter turns of the segment p -> q in blocks bp, bq, its exit included."""
+    if bp == bq:  # an I-I cap or an O-O cup
+        k = 2 if p < q else 0
     else:
-        k = _TURNS.get((p[0], q[0]), 0)
-    return k + _EXIT_TURNS.get(q[0], 0)
+        k = _TURNS.get((bp, bq), 0)
+    return k + _EXIT_TURNS[bq]
 
 
 def _strands(d: AnnularDiagram):
-    """(first end, last end, forward turns, backward turns) per strand of d."""
-    partner = d.partner_map()
+    """(first end, last end, forward turns, backward turns) per strand of d.
+
+    The ends are codes; a strand reaching L_t or R_t goes on from the other
+    edge at the same level, a code `seam` away.
+    """
+    codes, m, k = d.codes, d.dom, d.seam
+    lo = m + d.cod
+    ro = lo + k
     done = set()
-    for start in partner:
-        if start[0] in "LR" or start in done:
+    for start in range(lo):
+        if start in done:
             continue
         forward = backward = 0
-        p = start
+        p, bp = start, int(start >= m)
         while True:
-            q = partner[p]
-            forward += _turns(p, q)
-            backward += _turns(q, p)
-            if q[0] not in "LR":
+            q = codes[p]
+            bq = 0 if q < m else 1 if q < lo else 2 if q < ro else 3
+            forward += _turns(p, q, bp, bq)
+            backward += _turns(q, p, bq, bp)
+            if bq < 2:
                 break
-            p = (_OTHER_EDGE[q[0]], q[1])
+            p, bp = (q + k, 3) if bq == 2 else (q - k, 2)
         done.add(q)
         yield start, q, forward, backward
 
@@ -207,16 +215,16 @@ def _phases(d: AnnularDiagram) -> tuple[tuple[tuple[str, str], int], ...]:
         return table
     entries = []
     if not d.ess:
-        # a slot per sign: O_j -> j, I_j -> cod + j
-        slot = {"O": 0, "I": d.cod}
+        # a sign per code: I_j at j, O_j at dom + j
+        m = d.dom
         options = [
             (
-                (slot[a[0]] + a[1], _START_SIGN[a[0]], slot[b[0]] + b[1], _STOP_SIGN[b[0]], fwd),
-                (slot[b[0]] + b[1], _START_SIGN[b[0]], slot[a[0]] + a[1], _STOP_SIGN[a[0]], bwd),
+                (a, _START_SIGN[a >= m], b, _STOP_SIGN[b >= m], fwd),
+                (b, _START_SIGN[b >= m], a, _STOP_SIGN[a >= m], bwd),
             )
             for a, b, fwd, bwd in _strands(d)
         ]
-        signs = [""] * (d.cod + d.dom)
+        signs = [""] * (d.dom + d.cod)
         for choice in product(*options):
             k = 0
             for pa, sa, pb, sb, turns in choice:
@@ -225,7 +233,7 @@ def _phases(d: AnnularDiagram) -> tuple[tuple[tuple[str, str], int], ...]:
                 k += turns
             # interned, so all tables and weight maps share one object per
             # sign string: the cache holds 2^strands keys per diagram
-            row, col = intern("".join(signs[: d.cod])), intern("".join(signs[d.cod :]))
+            row, col = intern("".join(signs[m:])), intern("".join(signs[:m]))
             entries.append(((row, col), k & 3))
         # columns in sign-string order, as `columns()` and `rank()` read them
         entries.sort(key=lambda e: (e[0][1], e[0][0]))

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from atlq import Morphism, WeightMap, config, extremal, gen_d, gen_u, jones_wenzl, phi, tensor
-from atlq.cli import PROJECTOR_KINDS, load_operand, main
+from atlq.cli import _BUILTINS, PROJECTOR_KINDS, load_operand, main
 from atlq.render import render_ascii, render_svg, render_tikz
 
 
@@ -197,6 +197,12 @@ _ID_1 = {"seam": 0, "ess": 0, "arcs": [["I0", "O0"]]}
         (["eval", "ess.json", "phi"],
          {"ess.json": {"dom": 1, "cod": 1,
                        "terms": [{"diagram": {**_ID_1, "ess": 0.0}, "coeff": "1"}]}}),
+        (["eval", "ess_0", "id_1", "tensor"], {}),
+        (["eval", "id_1", "ess_0", "tensor"], {}),
+        (["eval", "wound.json", "ptrace"],
+         {"wound.json": {"dom": 2, "cod": 2,
+                         "terms": [{"diagram": {"seam": 0, "ess": 1, "arcs": [["I0", "I1"], ["O0", "O1"]]},
+                                    "coeff": "1"}]}}),
     ],
 )
 def test_bad_input_is_a_one_line_error(argv, files, tmp_path, monkeypatch, capsys):
@@ -219,6 +225,27 @@ def test_bad_input_is_a_one_line_error(argv, files, tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert all(name in err for name in names)
+
+
+def test_builtin_sweep_ends_cleanly(capsys):
+    # every builtin head at sizes 0-2 with indices -1..n, under a limit of
+    # 4 strands, through every unary op and tensor on every pair: each run
+    # exits 0, or exits 2 with one error line
+    names = []
+    for head, (arity, _) in _BUILTINS.items():
+        for n in range(3):
+            names += [f"{head}_{n}"] if arity == 1 else [f"{head}_{n}_{i}" for i in range(-1, n + 1)]
+    runs = [[x, op] for x in names for op in ("ptrace", "phi", "coords")]
+    runs += [[x, y, "tensor"] for x in names for y in names]
+    for argv in runs:
+        try:
+            code = main(["--max-strands", "4", "eval", *argv])
+        except SystemExit as exc:
+            err = capsys.readouterr().err
+            assert exc.code == 2 and err.startswith("error: ") and err.count("\n") == 1, argv
+        else:
+            assert code == 0, argv
+            capsys.readouterr()
 
 
 def test_import_reads_no_environment():

@@ -427,6 +427,70 @@ def test_rejected_json_diagram_stays_out_of_the_pool():
     assert len(_POOL) == before
 
 
+# one JSON diagram per refusal of the validator: (dom, cod, diagram, message)
+_REFUSALS = [
+    (1, 1, {"seam": -1, "ess": 0, "arcs": []}, "negative size field"),
+    (1, 1, {"seam": 0, "ess": 0, "arcs": []}, "arcs are not a perfect matching on the boundary"),
+    (1, 1, {"seam": 0, "ess": 0, "arcs": [["I0", "I1"]]}, "point ('I', 1) out of range"),
+    (2, 2, {"seam": 0, "ess": 0, "arcs": [["I0", "I1"], ["I0", "O1"]]}, "point ('I', 0) used twice"),
+    (2, 0, {"seam": 0, "ess": 0, "arcs": [["I0", "I0"]]}, "point ('I', 0) used twice"),
+    (2, 2, {"seam": 0, "ess": 0, "arcs": [["I0", "O1"], ["I1", "O0"]]}, "arcs cross near ('O', 1)"),
+    (0, 0, {"seam": 1, "ess": 0, "arcs": [["L0", "R0"]]}, "reducible: essential circle at level 0"),
+    (0, 2, {"seam": 2, "ess": 0, "arcs": [["L0", "L1"], ["R0", "O0"], ["R1", "O1"]]},
+     "reducible: L-edge arc at levels 0,1"),
+    (0, 2, {"seam": 2, "ess": 0, "arcs": [["R0", "R1"], ["O0", "L1"], ["O1", "L0"]]},
+     "reducible: R-edge arc at levels 0,1"),
+    (1, 1, {"seam": 0, "ess": 1, "arcs": [["I0", "O0"]]}, "through strand coexists with an essential circle"),
+]
+
+
+@pytest.mark.parametrize("dom, cod, obj, message", _REFUSALS)
+def test_every_refusal_of_the_json_reader(dom, cod, obj, message):
+    before = len(_POOL)
+    with pytest.raises(ValueError) as err:
+        Morphism.from_json_obj({"dom": dom, "cod": cod, "terms": [{"coeff": "1", "diagram": obj}]})
+    assert str(err.value) == message
+    assert len(_POOL) == before
+
+
+@pytest.mark.parametrize("mode", ["quotient", "raw"])
+def test_every_engine_diagram_validates(mode):
+    pool = reference_inputs(mode)
+    if mode == "quotient":
+        pool += wound_diagrams(random.Random(20261019), 200, 40)
+    for d in pool:
+        d.validate()
+
+
+def test_make_diagram_refuses_a_point_outside_its_block():
+    # one input point has no I_1; its code would be 1, which is O_0, so
+    # coding the cap I_0-I_1 blindly gives the identity
+    id_diagram(1)
+    before = len(_POOL)
+    with pytest.raises(ValueError, match=r"point \('I', 1\) out of range"):
+        make_diagram(1, 1, 0, 0, [(("I", 0), ("I", 1))])
+    with pytest.raises(ValueError, match="used twice"):
+        make_diagram(2, 0, 0, 0, [(("I", 0), ("I", 0))])
+    assert len(_POOL) == before
+
+
+def test_validate_reads_the_stored_code():
+    # diagrams built around the pool, with codes no builder makes
+    for codes, message in [
+        ((0, 1), "arc endpoints coincide"),
+        ((1, 2), "not a perfect matching"),
+        ((1, 1), "not a perfect matching"),
+        ((1,), "not a perfect matching"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            diagram.AnnularDiagram(2, 0, 0, 0, codes).validate()
+    # D^2 on one strand has the arc L_1-R_0: the code after the top L level
+    # is R_0, not an L level 2
+    wound = only_diagram(gen_d(1) * gen_d(1))
+    assert wound.codes == (2, 5, 0, 4, 3, 1)
+    wound.validate()
+
+
 def test_json_shape_is_guarded_before_any_term_is_read():
     # one short arc on a boundary of a million points: validating the term
     # first would cost memory in proportion to the claimed shape
@@ -438,13 +502,13 @@ def test_json_shape_is_guarded_before_any_term_is_read():
 
 
 def test_json_seam_is_checked_against_the_arcs_first(monkeypatch):
-    # a claimed seam of 10^9 under one arc: building the boundary cycle or
-    # the partner code first would cost memory in proportion to the claim
+    # a claimed seam of 10^9 under one arc: building or validating the
+    # partner code first would cost memory in proportion to the claim
     def too_early(*args):
-        raise AssertionError("boundary or code built before the arc count was checked")
+        raise AssertionError("code built or validated before the arc count was checked")
 
-    monkeypatch.setattr(diagram, "_boundary_cycle", too_early)
-    monkeypatch.setattr(diagram, "make_diagram", too_early)
+    monkeypatch.setattr(diagram, "_code_of", too_early)
+    monkeypatch.setattr(diagram, "_validate_code", too_early)
     deep = {"seam": 10**9, "ess": 0, "arcs": [["I0", "O0"]]}
     before = len(_POOL)
     with pytest.raises(ValueError, match="not a perfect matching"):

@@ -1,8 +1,10 @@
 """Rendering: deterministic bytes, valid headers, all three backends."""
 
+import hashlib
+
 import pytest
 
-from atlq import Morphism, configure, crossing, gen_d, gen_id, gen_u
+from atlq import Morphism, configure, crossing, extremal, gen_d, gen_id, gen_u
 from atlq.planar import ess_generator
 from atlq.render import render_ascii, render_svg, render_tikz
 from atlq.scalar import HALF
@@ -66,3 +68,17 @@ def test_zero_morphism_renders_a_zero_panel(renderer, caption):
     text = renderer(Morphism.zero(2, 2))
     assert caption in text
     assert text == renderer(gen_u(2, 1) - gen_u(2, 1)) != renderer(gen_id(2))
+
+
+def test_renders_are_frozen():
+    # sha256 of every backend's text for the samples, a wound U_0, T_3 and
+    # two raw essential circles: the pictures do not depend on how a
+    # diagram is stored
+    xs = sample_morphisms() + [gen_d(2, 1) * gen_d(2, 1) * gen_u(2, 0), extremal(3)]
+    with configure(mode="raw"):
+        xs.append(ess_generator(0) * ess_generator(0))
+    digest = hashlib.sha256()
+    for x in xs:
+        for renderer in (render_svg, render_tikz, render_ascii):
+            digest.update(renderer(x).encode())
+    assert digest.hexdigest() == "82739710fa793e2a61a2fe5498653b4e9e1fe42f35f9fa5e1903e659353d4c4e"
