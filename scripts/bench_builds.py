@@ -6,7 +6,10 @@
 A build is a letter and a size: T (extremal), H (highest weight), L
 (lowest weight) or JW (Jones-Wenzl).  PT times the strand-insertion layer
 instead: PT7 builds T_7 untimed, then times its partial trace
-cap . iota(T_7) . cup, and reports that result.  Each one runs in its own
+cap . iota(T_7) . cup, and reports that result.  C times exact
+elimination: C7 builds T_7 untimed, then times `coordinates(T_7)`; its
+term count is the number of nonzero coordinates, and its digest is taken
+over the JSON list of their strings.  Each one runs in its own
 interpreter with PYTHONPATH set to one --src directory (default: this
 checkout's src), so no cache carries over between builds.  Rounds
 interleave the trees: in round r they take turns in order, starting
@@ -15,8 +18,9 @@ of them.
 
 Per build it records the wall time of the timed call, the process's peak
 resident set size, the term count and the sha256 of the result's JSON
-(`dumps()`).  It prints one line per build and the medians, then writes
-everything as JSON to --out, or to standard output without it.  A build
+(`dumps()`; for C, of the coordinates' strings).  It prints one line per
+build and the medians, then writes everything as JSON to --out, or to
+standard output without it.  A build
 whose digest differs between the trees prints MISMATCH and exits 1.
 """
 
@@ -33,30 +37,34 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 BUILDERS = {"T": "extremal", "H": "highest_weight", "L": "lowest_weight", "JW": "jones_wenzl",
-            "PT": "partial_trace"}
+            "PT": "partial_trace", "C": "coordinates"}
 
 CHILD = """
 import hashlib, json, resource, sys, time
 import atlq
 name, m = sys.argv[1], int(sys.argv[2])
-if name == "partial_trace":
+if name in ("partial_trace", "coordinates"):
     args = (atlq.extremal(m),)
 else:
     args = (m,)
 start = time.perf_counter()
 x = getattr(atlq, name)(*args)
 elapsed = time.perf_counter() - start
+if name == "coordinates":
+    terms, text = sum(1 for c in x if c), json.dumps([str(c) for c in x])
+else:
+    terms, text = len(x.terms), x.dumps()
 print(json.dumps({
     "time_s": elapsed,
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-    "terms": len(x.terms),
-    "sha256": hashlib.sha256(x.dumps().encode()).hexdigest(),
+    "terms": terms,
+    "sha256": hashlib.sha256(text.encode()).hexdigest(),
 }))
 """
 
 
 def parse_build(text: str) -> tuple[str, int] | None:
-    match = re.fullmatch(r"(PT|T|H|L|JW)(\d+)", text)
+    match = re.fullmatch(r"(PT|T|H|L|JW|C)(\d+)", text)
     return None if match is None else (BUILDERS[match.group(1)], int(match.group(2)))
 
 
@@ -80,7 +88,7 @@ def main() -> int:
     builds = args.builds.split(",")
     specs = [parse_build(b) for b in builds]
     if None in specs:
-        parser.error(f"bad --builds {args.builds!r}: each is T, H, L, JW or PT and a size")
+        parser.error(f"bad --builds {args.builds!r}: each is T, H, L, JW, PT or C and a size")
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
 

@@ -70,11 +70,14 @@ def _find_turnback(d: AnnularDiagram, side: str) -> int | None:
 
 
 def _strip_turnback(d: AnnularDiagram, side: str, j: int) -> AnnularDiagram:
-    """d without its cap (side "I") or cup (side "O") at j: d . cup or cap . d."""
+    """d without its cap (side "I") or cup (side "O") at j: d . cup or cap . d.
+
+    The strips skip the `compose` memo: `_factor_cache` keeps the word.
+    """
     if side == "I":
-        out, iness, _ = compose(cup_diagram(d.dom - 2, j), d)
+        out, iness, _ = compose.__wrapped__(cup_diagram(d.dom - 2, j), d)
     else:
-        out, iness, _ = compose(d, cap_diagram(d.cod, j))
+        out, iness, _ = compose.__wrapped__(d, cap_diagram(d.cod, j))
     assert iness == 1 and out.ess == d.ess
     return out
 

@@ -39,6 +39,16 @@ and gives -2 for a contractible circle (each of its two orientations
 passes one tangent each way, a phase of -1) and 0 for an essential
 circle (i + -i).
 
+Each diagram's table of (row, column, k) is built once, on ints: an
+orientation of all strands is a sign mask over the I and O points, and
+the list of masks doubles once per strand and is sorted, which puts the
+entries in (column, row) order.  A mask becomes a sign string only at
+the end, through a memo per string length that makes each string on its
+first use: a 0 -> 2n diagram has 2^n of the 4^n strings of its length.
+`phi` scales every coefficient of its operand to one common denominator
+first, so each table entry adds two ints to its sum and no sum is ever
+rescaled.
+
 A `WeightMap` stores only the nonzero entries as (output string, input
 string) -> scalar.
 
@@ -53,7 +63,6 @@ from __future__ import annotations
 
 from itertools import chain, product
 from math import gcd, lcm
-from sys import intern
 
 from .config import CACHE_CLEARS
 from .diagram import AnnularDiagram, Morphism
@@ -161,10 +170,6 @@ class WeightMap(Combination):
 # which turn by index; and of an exit through the seam
 _TURNS = {(1, 3): 2, (2, 0): 2}
 _EXIT_TURNS = (0, 0, 1, 3)
-# the sign of an I or O end where an orientation starts, and where it
-# stops, by block
-_START_SIGN = ("+", "-")
-_STOP_SIGN = ("-", "+")
 _I_POWERS = (ONE, I, MINUS_ONE, MINUS_I)
 
 
@@ -204,39 +209,71 @@ def _strands(d: AnnularDiagram):
         yield start, q, forward, backward
 
 
+class _SignStrings(dict):
+    """The length-n sign strings by mask, each made on first use.
+
+    Bit n-1-j of the mask is set where the string has '-' at j, so masks
+    order as their strings do.  A 0 -> 2n diagram has 2^n rows among the
+    4^n strings of their length: a table of them all could not be held.
+    All tables and weight maps share the one string made per mask.
+    """
+
+    __slots__ = ("top",)
+    _FROM_BITS = str.maketrans("01", "+-")
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.top = 1 << n
+
+    def __missing__(self, mask: int) -> str:
+        s = self[mask] = bin(mask | self.top)[3:].translate(self._FROM_BITS)
+        return s
+
+
+_SIGN_STRINGS: dict[int, _SignStrings] = {}
+CACHE_CLEARS.append(_SIGN_STRINGS.clear)
+
+
+def _strings_of_length(n: int) -> _SignStrings:
+    table = _SIGN_STRINGS.get(n)
+    if table is None:
+        table = _SIGN_STRINGS[n] = _SignStrings(n)
+    return table
+
+
 _phi_cache: dict[AnnularDiagram, tuple[tuple[tuple[str, str], int], ...]] = {}
 CACHE_CLEARS.append(_phi_cache.clear)
 
 
 def _phases(d: AnnularDiagram) -> tuple[tuple[tuple[str, str], int], ...]:
-    """The ((row, col), k) pairs of d's weight map, whose entries are i^k."""
+    """The ((row, col), k) pairs of d's weight map, whose entries are i^k.
+
+    An orientation of all strands is one int.  Bit shift + top - p is set
+    where the I or O point of code p gets '-': where the orientation stops
+    at an I point or starts at an O point.  The bits below `shift` count
+    its quarter turns, at most 5 per segment, so they never carry into the
+    mask.  The column bits are the high ones, so the ints sort in
+    (column, row) order, as `columns()` and `rank()` read them.
+    """
     table = _phi_cache.get(d)
     if table is not None:
         return table
     entries = []
     if not d.ess:
-        # a sign per code: I_j at j, O_j at dom + j
-        m = d.dom
-        options = [
-            (
-                (a, _START_SIGN[a >= m], b, _STOP_SIGN[b >= m], fwd),
-                (b, _START_SIGN[b >= m], a, _STOP_SIGN[a >= m], bwd),
-            )
-            for a, b, fwd, bwd in _strands(d)
-        ]
-        signs = [""] * (d.dom + d.cod)
-        for choice in product(*options):
-            k = 0
-            for pa, sa, pb, sb, turns in choice:
-                signs[pa] = sa
-                signs[pb] = sb
-                k += turns
-            # interned, so all tables and weight maps share one object per
-            # sign string: the cache holds 2^strands keys per diagram
-            row, col = intern("".join(signs[m:])), intern("".join(signs[:m]))
-            entries.append(((row, col), k & 3))
-        # columns in sign-string order, as `columns()` and `rank()` read them
-        entries.sort(key=lambda e: (e[0][1], e[0][0]))
+        m, n = d.dom, d.cod
+        top = m + n - 1
+        shift = (5 * len(d.codes)).bit_length()
+        keyed = [0]
+        for a, b, fwd, bwd in _strands(d):
+            # forward runs a -> b, backward b -> a; each flips both ends
+            bit_a, bit_b = 1 << top - a, 1 << top - b
+            f = (bit_a if a >= m else 0) | (bit_b if b < m else 0)
+            g = (f ^ bit_a ^ bit_b) << shift
+            f <<= shift
+            keyed = [(v | f) + fwd for v in keyed] + [(v | g) + bwd for v in keyed]
+        keyed.sort()
+        rows, cols, low = _strings_of_length(n), _strings_of_length(m), (1 << n) - 1
+        entries = [((rows[v >> shift & low], cols[v >> n + shift]), v & 3) for v in keyed]
     table = _phi_cache[d] = tuple(entries)
     return table
 
@@ -246,14 +283,22 @@ def phi_diagram(d: AnnularDiagram) -> WeightMap:
 
 
 def phi(x: Morphism) -> WeightMap:
+    # every coefficient over one denominator, so each entry adds two ints
+    den = lcm(*(c.d for c in x.terms.values()))
     acc: dict[tuple[str, str], list[int]] = {}
     for d, c in x.terms.items():
-        a, b, den = c.a, c.b, c.d
+        f = den // c.d
+        a, b = c.a * f, c.b * f
         # c * i^k: each factor i sends (a, b) to (-b, a)
         turned = ((a, b), (-b, a), (-a, -b), (b, -a))
         for key, k in _phases(d):
             ra, rb = turned[k]
-            accumulate(acc, key, ra, rb, den)
+            e = acc.get(key)
+            if e is None:
+                acc[key] = [ra, rb, den]
+            else:
+                e[0] += ra
+                e[1] += rb
     return WeightMap._from_sums(x.dom, x.cod, acc)
 
 

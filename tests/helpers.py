@@ -4,7 +4,9 @@ Everything here takes an explicit random.Random so failures reproduce
 from the seed alone.  `reference_compose` is the dict-based diagram
 composition that the int-coded `diagram.compose` replaced, and
 `reference_phi_diagram` the word-based weight functor that the strand
-tracing of `rep.phi_diagram` replaced.  `reference_mor_compose` and
+tracing of `rep.phi_diagram` replaced.  `reference_phases` is the
+product over strand orientations that built the tables of `rep._phases`
+before they were built from sign masks.  `reference_mor_compose` and
 `reference_weightmap_mul` fold their products through `GaussianRational`
 arithmetic, reduced at every step, as the engine did before it summed
 raw integer numerators.  `reference_rank_of_columns` and
@@ -22,6 +24,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
+from sys import intern
 
 from atlq import (
     Morphism,
@@ -42,7 +46,7 @@ from atlq import (
 )
 from atlq.config import MODE_QUOTIENT, get_config
 from atlq.diagram import AnnularDiagram, Arc, Point, _KIND_ORDER, compose, make_diagram, point_key
-from atlq.rep import WeightMap, sign_strings
+from atlq.rep import WeightMap, _strands, sign_strings
 from atlq.scalar import I, MINUS_I, MINUS_TWO, ONE, ZERO, GaussianRational
 
 
@@ -443,6 +447,41 @@ def reference_phi_diagram(d: AnnularDiagram) -> WeightMap:
         for row, v in state.items():
             entries[(row, col)] = v
     return WeightMap(d.dom, d.cod, entries)
+
+
+# the sign of an I or O end where an orientation starts, and where it
+# stops, by block
+_START_SIGN = ("+", "-")
+_STOP_SIGN = ("-", "+")
+
+
+def reference_phases(d: AnnularDiagram) -> tuple[tuple[tuple[str, str], int], ...]:
+    """The ((row, col), k) pairs of d's weight map, by a product over orientations."""
+    entries = []
+    if not d.ess:
+        # a sign per code: I_j at j, O_j at dom + j
+        m = d.dom
+        options = [
+            (
+                (a, _START_SIGN[a >= m], b, _STOP_SIGN[b >= m], fwd),
+                (b, _START_SIGN[b >= m], a, _STOP_SIGN[a >= m], bwd),
+            )
+            for a, b, fwd, bwd in _strands(d)
+        ]
+        signs = [""] * (d.dom + d.cod)
+        for choice in product(*options):
+            k = 0
+            for pa, sa, pb, sb, turns in choice:
+                signs[pa] = sa
+                signs[pb] = sb
+                k += turns
+            # interned, so all tables and weight maps share one object per
+            # sign string: the cache holds 2^strands keys per diagram
+            row, col = intern("".join(signs[m:])), intern("".join(signs[:m]))
+            entries.append(((row, col), k & 3))
+        # columns in sign-string order, as `columns()` and `rank()` read them
+        entries.sort(key=lambda e: (e[0][1], e[0][0]))
+    return tuple(entries)
 
 
 # -- exact elimination through GaussianRational ----------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from atlq import (
     Morphism,
+    WeightMap,
     coordinates,
     enumerate_basis,
     ess_equal,
@@ -21,15 +22,16 @@ from atlq import (
     highest_weight,
     jones_wenzl,
     lowest_weight,
+    nested_cups,
     phi,
     phi_chain,
     tensor,
 )
 from atlq.canon import basis_columns, labels_from_matching, matching_from_labels
-from atlq.rep import extremal_matrix, rank_of_columns
+from atlq.rep import extremal_matrix, phi_diagram, rank_of_columns, solve_columns
 from atlq.scalar import HALF, MINUS_ONE, ONE, TWO, ZERO
 
-from helpers import compose_word, random_single_diagram, random_word
+from helpers import compose_word, projector_family, random_single_diagram, random_word
 
 
 def _seeded_morphisms(seed: int, count: int) -> list[Morphism]:
@@ -97,6 +99,29 @@ def test_coordinates_linear():
     cu = coordinates(gen_u(2, 1))
     cd = coordinates(gen_d(2, 1))
     assert coordinates(x) == [a * HALF + b for a, b in zip(cu, cd)]
+
+
+def _weight_columns(n: int) -> list[dict]:
+    """The basis weight vectors through `phi_diagram` and `columns()`."""
+    return [phi_diagram(b).columns().get("", {}) for b in enumerate_basis(n)]
+
+
+def test_basis_columns_match_the_weight_maps():
+    # read off the phase tables, with the rows in the weight maps' order
+    for n in range(0, 11, 2):
+        got, want = basis_columns(n), _weight_columns(n)
+        assert [list(col.items()) for col in got] == [list(col.items()) for col in want]
+
+
+def test_coordinates_match_solving_the_bent_weight_map():
+    family = [x for x in projector_family() if x.dom + x.cod <= 10]
+    assert len(family) == 14
+    for x in family:
+        # the bend on weights, as a product of weight maps
+        a = x.dom
+        bent = phi(x).tensor(WeightMap.identity(a)) * phi(nested_cups(a))
+        target = bent.columns().get("", {})
+        assert coordinates(x) == solve_columns(_weight_columns(x.dom + x.cod), target)
 
 
 def test_coordinates_of_basis_diagrams():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from atlq import (
+    clear_caches,
     GaussianRational,
     Morphism,
     WeightMap,
@@ -30,6 +31,7 @@ from atlq import (
     phi,
     tensor,
 )
+from atlq.diagram import compose, make_diagram
 from atlq.planar import ess_generator, iota_diagram, recompose
 from atlq.scalar import MINUS_ONE, MINUS_TWO, ONE
 
@@ -70,6 +72,16 @@ def test_factorize_round_trip_seeded():
         m = random_single_diagram(rng, n, 8)
         d = only_diagram(m)
         assert recompose(d.dom, factorize(d)).terms == {d: ONE}
+
+
+def test_factorize_strips_skip_the_compose_memo():
+    # _factor_cache keeps the word; the stripped diagrams need no memo
+    clear_caches()
+    d = make_diagram(4, 4, 0, 0, [(("I", 0), ("I", 1)), (("I", 2), ("O", 0)),
+                                  (("I", 3), ("O", 3)), (("O", 1), ("O", 2))])
+    assert factorize(d) == (("cap", 4, 0), ("cup", 2, 1))
+    assert compose.cache_info().currsize == 0
+    assert recompose(4, factorize(d)).terms == {d: ONE}
 
 
 # sha256 of repr() of the factorize words, taken before factorize tried

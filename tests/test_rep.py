@@ -11,6 +11,9 @@ from atlq import (
     GaussianRational,
     Morphism,
     WeightMap,
+    clear_caches,
+    configure,
+    enumerate_basis,
     extremal,
     extremal_matrix,
     gen_cap,
@@ -18,9 +21,11 @@ from atlq import (
     gen_d,
     gen_id,
     gen_u,
+    nested_cups,
     phi,
 )
-from atlq.diagram import make_diagram
+from atlq import rep
+from atlq.diagram import id_diagram, make_diagram
 from atlq.rep import phi_diagram, rank_of_columns, sign_strings, solve_columns
 from atlq.scalar import I, MINUS_I, MINUS_ONE, ONE, TWO, ZERO
 
@@ -30,10 +35,12 @@ from helpers import (
     random_combination,
     random_word,
     reference_inputs,
+    reference_phases,
     reference_phi_diagram,
     reference_rank_of_columns,
     reference_solve_columns,
     reference_weightmap_mul,
+    wound_diagrams,
 )
 
 
@@ -131,6 +138,28 @@ def test_phi_diagram_matches_reference(mode):
         assert got == reference_phi_diagram(d)
         if d.ess:
             assert got.is_zero()
+
+
+@pytest.mark.parametrize("mode", ["quotient", "raw"])
+def test_phase_tables_match_reference(mode):
+    # the sign-mask tables against the product over strand orientations,
+    # entry order included
+    with configure(mode="quotient"):
+        wound = wound_diagrams(random.Random("phases"), 400, 24)
+    with configure(mode=mode):
+        pool = [d for x in projector_family() for d in x.terms] + reference_inputs(mode)
+        pool += wound + [b for n in range(6) for b in enumerate_basis(2 * n)]
+        pool += [id_diagram(0), make_diagram(1, 1, 0, 1, [(("I", 0), ("O", 0))])]
+        assert any(d.ess for d in pool) and max(d.seam for d in pool) >= 8
+        for d in pool:
+            assert rep._phases(d) == reference_phases(d)
+
+
+def test_sign_strings_are_made_on_first_use():
+    # a 0 -> 16 diagram has 2^8 rows among the 2^16 strings of length 16
+    clear_caches()
+    phi(nested_cups(8))
+    assert 0 < len(rep._SIGN_STRINGS[16]) <= 256
 
 
 def _seeded_combinations(mode: str) -> list:
