@@ -6,7 +6,10 @@
 A build is a letter and a size: T (extremal), H (highest weight), L
 (lowest weight) or JW (Jones-Wenzl).  PT times the strand-insertion layer
 instead: PT7 builds T_7 untimed, then times its partial trace
-cap . iota(T_7) . cup, and reports that result.  C times exact
+cap . iota(T_7) . cup, and reports that result.  E times the product
+formula's complement: E4x2 builds T_4 and T_2 untimed, then times
+`split_idempotent(4, 2)`, the e_{4,2} of T_4 (x) T_2 = T_6 + e_{4,2},
+and reports that result.  C times exact
 elimination: C7 builds T_7 untimed, then times `coordinates(T_7)`; its
 term count is the number of nonzero coordinates, and its digest is taken
 over the JSON list of their strings.  Each one runs in its own
@@ -37,16 +40,19 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 BUILDERS = {"T": "extremal", "H": "highest_weight", "L": "lowest_weight", "JW": "jones_wenzl",
-            "PT": "partial_trace", "C": "coordinates"}
+            "PT": "partial_trace", "C": "coordinates", "E": "split_idempotent"}
 
 CHILD = """
 import hashlib, json, resource, sys, time
 import atlq
-name, m = sys.argv[1], int(sys.argv[2])
+name, sizes = sys.argv[1], [int(a) for a in sys.argv[2:]]
 if name in ("partial_trace", "coordinates"):
-    args = (atlq.extremal(m),)
+    args = (atlq.extremal(sizes[0]),)
 else:
-    args = (m,)
+    if name == "split_idempotent":
+        for k in sizes:
+            atlq.extremal(k)
+    args = tuple(sizes)
 start = time.perf_counter()
 x = getattr(atlq, name)(*args)
 elapsed = time.perf_counter() - start
@@ -63,15 +69,19 @@ print(json.dumps({
 """
 
 
-def parse_build(text: str) -> tuple[str, int] | None:
-    match = re.fullmatch(r"(PT|T|H|L|JW|C)(\d+)", text)
-    return None if match is None else (BUILDERS[match.group(1)], int(match.group(2)))
+def parse_build(text: str) -> tuple[str, list[int]] | None:
+    match = re.fullmatch(r"(PT|T|H|L|JW|C)(\d+)|E(\d+)x(\d+)", text)
+    if match is None:
+        return None
+    if match.group(1) is None:
+        return BUILDERS["E"], [int(match.group(3)), int(match.group(4))]
+    return BUILDERS[match.group(1)], [int(match.group(2))]
 
 
-def run_build(src: str, name: str, m: int) -> dict:
+def run_build(src: str, name: str, sizes: list[int]) -> dict:
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, name, str(m)],
+        [sys.executable, "-c", CHILD, name, *map(str, sizes)],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout)
@@ -88,7 +98,8 @@ def main() -> int:
     builds = args.builds.split(",")
     specs = [parse_build(b) for b in builds]
     if None in specs:
-        parser.error(f"bad --builds {args.builds!r}: each is T, H, L, JW, PT or C and a size")
+        parser.error(f"bad --builds {args.builds!r}: each is T, H, L, JW, PT or C and a "
+                     "size, or E<m>x<n>")
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
 
@@ -96,8 +107,8 @@ def main() -> int:
     for r in range(args.rounds):
         for j in range(len(srcs)):
             src = srcs[(r + j) % len(srcs)]
-            for b, (name, m) in zip(builds, specs):
-                res = run_build(src, name, m)
+            for b, (name, sizes) in zip(builds, specs):
+                res = run_build(src, name, sizes)
                 runs[src][b].append(res)
                 print(f"round {r} {src} {b}: {res['time_s']:.3f} s, "
                       f"{res['peak_rss_mb']:.1f} MB, {res['terms']} terms", flush=True)

@@ -32,7 +32,15 @@ over an evaluator that supplies the leaves: expanded diagrams for the
 public constructors, leaf weight maps (WEIGHTS) for the structural
 checks, where T_m is phi_extremal(m): the overlap product on weight maps,
 pinned to the T_m diagrams up to the technical suite's size cap and to
-the two-entry oracle up to the cap plus two.
+the two-entry oracle up to the cap plus two.  Each construction starts
+from W = T_m (x) T_n, built once per evaluator.  U_m is the cup under the
+cap at the junction of the two factors, with no circle between them, so
+the complement is e_{m,n} = -(W . cup) . (cap . W), and its depth-r
+form is W . (T_{m-r} (x) turnback (x) T_{n-r}) . W; the quotient
+commutes with composition, so these give the terms of the same products
+bracketed over the tensor factors of W.  On diagrams, W for n = 2 is an
+overlap product too, (T_m (x) id_2) . (id_m (x) T_2) with the right
+factor applied letter by letter.
 """
 
 from __future__ import annotations
@@ -116,11 +124,12 @@ def _overlap(left: Morphism, base: Morphism) -> Morphism:
     base) as long as that right factor lost no term to the quotient.  It
     does not: for every term d of T_2 and of H_2, iota_prime^j(d) in raw
     mode has no essential term for j <= 7 (tested) and j <= 10 (checked
-    once, too slow for the suite), which covers T_m and H_m up to m = 12;
-    above that the route rests on the statement unchecked.  It fails for
-    larger bases: T_2 (x) T_3 built this way from T_2 (x) id_3 has 251
-    terms where tensor(T_2, T_3) has 223, so only the two-strand bases go
-    through here.
+    once, too slow for the suite), which covers T_m and H_m up to m = 12
+    and weight_tensor(m, 2), where left is T_m (x) id_2 and k = m, up to
+    m = 10; above that the route rests on the statement unchecked.  It
+    fails for larger bases: T_2 (x) T_3 built this way from T_2 (x) id_3
+    has 251 terms where tensor(T_2, T_3) has 223, so only the two-strand
+    bases go through here.
     """
     k = left.dom - base.dom
 
@@ -212,16 +221,10 @@ class _Evaluator:
     type, Morphism or WeightMap alike.
     """
 
-    def factors(self, m: int, n: int):
-        """(T_m (x) id_n, id_m (x) T_n); their product is T_m (x) T_n."""
-        return (
-            self.tensor(self.extremal(m), self.leaf(gen_id(n))),
-            self.tensor(self.leaf(gen_id(m)), self.extremal(n)),
-        )
-
     def weight_tensor(self, m: int, n: int):
-        a, b = self.factors(m, n)
-        return a * b
+        """T_m (x) T_n as the product (T_m (x) id_n) . (id_m (x) T_n)."""
+        a = self.tensor(self.extremal(m), self.leaf(gen_id(n)))
+        return a * self.tensor(self.leaf(gen_id(m)), self.extremal(n))
 
     def split(self, m: int, n: int):
         if m < 1 or n < 1:
@@ -229,17 +232,18 @@ class _Evaluator:
         if (m, n) == (1, 1):
             u = self.leaf(gen_u(2, 1)) + self.leaf(gen_u(2, 0))
             return u.scale(Fraction(-1, 2))
-        a, b = self.factors(m, n)
-        inner = b * self.leaf(gen_u(m + n, m)) * a
-        return (a * inner * b).scale(-1)
+        # U_m is the cup under the cap at the junction, with no circle
+        w = self.weight_tensor(m, n)
+        cup, cap = self.leaf(gen_cup(m + n - 2, m - 1)), self.leaf(gen_cap(m + n, m - 1))
+        return ((w * cup) * (cap * w)).scale(-1)
 
     def split_nested(self, m: int, n: int, r: int):
         if not (1 <= r <= min(m, n) and r < max(m, n)):
             raise ValueError("turnback depth out of range")
-        a, b = self.factors(m, n)
+        w = self.weight_tensor(m, n)
         turn = self.leaf(nested_cups(r)) * self.leaf(nested_caps(r))
         mid = self.tensor(self.tensor(self._block(m - r), turn), self._block(n - r))
-        return (a * (b * mid * a) * b).scale((-1) ** r)
+        return (w * mid * w).scale((-1) ** r)
 
     def _block(self, k: int):
         """T_k as a tensor factor; the empty factor is the empty diagram alone."""
@@ -297,8 +301,13 @@ class _Diagrams(_Evaluator):
     def tensor(self, x: Morphism, y: Morphism) -> Morphism:
         return tensor(x, y)
 
-    factors = memo()(_Evaluator.factors)
-    weight_tensor = memo()(_Evaluator.weight_tensor)
+    @memo()
+    def weight_tensor(self, m: int, n: int) -> Morphism:
+        """At n = 2, T_m (x) id_2 times id_m (x) T_2 applied letter by letter."""
+        if n == 2:
+            return _overlap(tensor(extremal(m), gen_id(2)), extremal(2))
+        return _Evaluator.weight_tensor(self, m, n)
+
     # iso_diff(m, n) reuses the complement that split_idempotent(m, n) built
     split = memo()(_Evaluator.split)
 
@@ -338,9 +347,10 @@ def weight_tensor(m: int, n: int) -> Morphism:
 def split_idempotent(m: int, n: int) -> Morphism:
     """The complement e of T_{m+n} inside T_m (x) T_n.
 
-    Computed as -(T_m (x) T_n) U_m (T_m (x) T_n), folded through the
-    tensor factors so no intermediate product pairs two full copies of
-    the big projector at once.
+    Computed as -(W . cup_{m-1}) . (cap_{m-1} . W) with W = T_m (x) T_n,
+    the memoized weight_tensor(m, n): U_m is the cup under the cap at
+    the junction of the factors, so each half composes W with one small
+    letter, and only the last product pairs two full-sized sums.
     """
     return _on_diagrams(m + n, _DIAGRAMS.split, m, n)
 

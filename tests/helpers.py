@@ -17,7 +17,11 @@ right factor of their overlap product expanded first, as the engine did
 before it applied that factor one letter at a time.
 `reference_iota_diagram` adds a strand by multiplying the letters of
 `factorize(d)` one arity up, as the engine did before it traced the
-resolutions of the new strand's crossings.  All are kept as test oracles.
+resolutions of the new strand's crossings.  `reference_weight_tensor`,
+`reference_split` and `reference_split_nested` build the product formula
+over the tensor factors a = T_m (x) id_n and b = id_m (x) T_n, as the
+engine did before it went through T_m (x) T_n and the junction cap.  All
+are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ from atlq import (
     iota,
     jones_wenzl,
     lowest_weight,
+    nested_caps,
+    nested_cups,
     tensor,
 )
 from atlq.config import MODE_QUOTIENT, get_config
@@ -176,6 +182,35 @@ def reference_overlap(build, m: int) -> Morphism:
         return build(m)
     with configure(mode=MODE_QUOTIENT):
         return iota(reference_overlap(build, m - 1)) * tensor(gen_id(m - 2), build(2))
+
+
+def _tensor_factors(m: int, n: int) -> tuple[Morphism, Morphism]:
+    """(T_m (x) id_n, id_m (x) T_n), each from `tensor`."""
+    return tensor(extremal(m), gen_id(n)), tensor(gen_id(m), extremal(n))
+
+
+def reference_weight_tensor(m: int, n: int) -> Morphism:
+    """T_m (x) T_n as the product of its two tensor factors."""
+    with configure(mode=MODE_QUOTIENT):
+        a, b = _tensor_factors(m, n)
+        return a * b
+
+
+def reference_split(m: int, n: int) -> Morphism:
+    """e_{m,n} = -a . (b . U_m . a) . b over the tensor factors, for (m, n) != (1, 1)."""
+    with configure(mode=MODE_QUOTIENT):
+        a, b = _tensor_factors(m, n)
+        return (a * (b * gen_u(m + n, m) * a) * b).scale(-1)
+
+
+def reference_split_nested(m: int, n: int, r: int) -> Morphism:
+    """e_{m,n} with a depth-r turnback between T_{m-r} and T_{n-r}, over the factors."""
+    with configure(mode=MODE_QUOTIENT):
+        a, b = _tensor_factors(m, n)
+        turn = nested_cups(r) * nested_caps(r)
+        mid = tensor(tensor(extremal(m - r) if m > r else gen_id(0), turn),
+                     extremal(n - r) if n > r else gen_id(0))
+        return (a * (b * mid * a) * b).scale((-1) ** r)
 
 
 def reference_iota_diagram(d: AnnularDiagram) -> Morphism:

@@ -49,7 +49,12 @@ from atlq.diagram import compose
 from atlq.projectors import WEIGHTS, phi_extremal
 from atlq.scalar import HALF, I, ONE
 
-from helpers import reference_overlap
+from helpers import (
+    reference_overlap,
+    reference_split,
+    reference_split_nested,
+    reference_weight_tensor,
+)
 
 
 # -- Jones-Wenzl -------------------------------------------------------------
@@ -211,6 +216,56 @@ def test_tensor_decomposition():
         assert ps * ps == ps
         assert (ps * phi_extremal(m + n)).is_zero()
         assert ps.rank() == 2
+
+
+# sha256 of the dumps() of every diagram-side construction of a cell, one
+# line each: T_m (x) T_n, e_{m,n}, e_{m,n} at every turnback depth, the
+# capped contract (m >= n), and the iso_diff maps (m != n) or both iso_equal
+# pairs with their summands (m = n); taken when e_{m,n} was built as
+# a . (b . U_m . a) . b over a = T_m (x) id_n and b = id_m (x) T_n
+PRODUCT_DIGESTS = {
+    (1, 1): "c1d77eb6ef8fb726a5f132bd4d564b4d2dcb0c4cd7f184a773c205bc8803836e",
+    (1, 2): "6388cbb3f056aa98e2fd6aea3bf755792f3b901f436b21ffc76d07ab8eeae1a7",
+    (2, 1): "4e3de402577339c304de07ec5b3f23f61dd34e9d9b9b76388d78178395a1fa72",
+    (2, 2): "497996962668c705129233a4ae3f23edbb7175ea6d744c2e1d4a26e98a1800ff",
+    (3, 1): "8b3b3f7f225b7ee7c72315fdf26f1508b4ba7e81eaffee840712200fd1590aa2",
+    (3, 2): "4d171d80b8be4e7e930b0b7e0a724c6fde6e285ed3c4ba695a235a8225eaa9fe",
+    (4, 1): "fa14a9ef8212c6a6d4dbfa71cf71d6df4cf8bd9bf30c6bafebe0903fa08d06a8",
+}
+
+
+def _nested_depths(m: int, n: int) -> range:
+    return range(1, min(m, n, max(m, n) - 1) + 1)
+
+
+@pytest.mark.parametrize("m, n", sorted(PRODUCT_DIGESTS))
+def test_product_formula_is_frozen(m, n):
+    parts = [weight_tensor(m, n), split_idempotent(m, n)]
+    parts += [split_idempotent_nested(m, n, r) for r in _nested_depths(m, n)]
+    if m >= n:
+        parts.append(kariso_contract(m, n))
+    if m != n:
+        pair = iso_diff(m, n)
+        parts += [pair.fwd, pair.bwd]
+    else:
+        for pair in iso_equal(m):
+            parts += [pair.fwd, pair.bwd, pair.src_idem]
+    digest = hashlib.sha256()
+    for x in parts:
+        digest.update((x.dumps() + "\n").encode())
+    assert digest.hexdigest() == PRODUCT_DIGESTS[m, n]
+
+
+# (2, 3) has a three-strand right factor, which must not go letter by letter
+@pytest.mark.parametrize("m, n", [*CELLS, (2, 3), (4, 2)])
+def test_product_formula_matches_the_tensor_factor_route(m, n):
+    assert weight_tensor(m, n) == reference_weight_tensor(m, n)
+    if (m, n) != (1, 1):  # a closed form, pinned by test_split_idempotent_frozen
+        assert split_idempotent(m, n) == reference_split(m, n)
+    if (m, n) == (4, 2):  # its nested forms take about 13 s by the two routes
+        return
+    for r in _nested_depths(m, n):
+        assert split_idempotent_nested(m, n, r) == reference_split_nested(m, n, r)
 
 
 def test_iso_diff_contracts():
@@ -400,7 +455,7 @@ def test_no_memo_escapes_clear_caches():
         id(obj): obj for owner in owners for obj in owner.values()
         if hasattr(obj, "cache_info") and obj is not config._from_env
     }.values()
-    assert {"compose", "d_diagram", "extremal", "phi_extremal", "_chebyshev", "factors", "split"} <= {
+    assert {"compose", "d_diagram", "extremal", "phi_extremal", "_chebyshev", "weight_tensor", "split"} <= {
         memo.__name__ for memo in memos
     }
     assert [memo.__name__ for memo in memos if memo.cache_info().currsize] == []
