@@ -5,8 +5,9 @@
 
 A build is a letter and a size: T (extremal), H (highest weight), L
 (lowest weight) or JW (Jones-Wenzl).  PT times the strand-insertion layer
-instead: PT7 builds T_7 untimed, then times its partial trace
-cap . iota(T_7) . cup, and reports that result.  E times the product
+instead: PT7 builds T_7 untimed, then times its partial trace, which
+walks the crossings of the closing strand term by term, and reports that
+result.  E times the product
 formula's complement: E4x2 builds T_4 and T_2 untimed, then times
 `split_idempotent(4, 2)`, the e_{4,2} of T_4 (x) T_2 = T_6 + e_{4,2},
 and reports that result.  C times exact

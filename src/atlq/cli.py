@@ -45,7 +45,7 @@ from typing import NoReturn
 from .canon import coordinates, enumerate_basis, ess_equal, labels_from_matching
 from .config import get_config, set_config
 from .diagram import Morphism, crossing, gen_cap, gen_cup, gen_d, gen_id, gen_u
-from .planar import ess_generator, is_planar, partial_trace, tensor
+from .planar import ess_generator, partial_trace, tensor
 from .projectors import extremal, highest_weight, jones_wenzl, lowest_weight
 from .render import render_ascii, render_svg, render_tikz
 from .rep import phi
@@ -169,15 +169,12 @@ def cmd_eval(args) -> int:
     if op == "coords" and ms[0].dom + ms[0].cod > limit:
         _usage_error(f"cannot take coordinates of {shapes}: dom + cod exceeds the configured limit of {limit}")
     # iota cannot insert a strand over an essential circle: x (x) y inserts
-    # y.cod strands into x and x.dom into y, and a non-planar trace one into x
+    # y.cod strands into x and x.dom into y, and a trace one into x
     wound = [any(d.ess for d in x.terms) for x in ms]
     if op == "tensor" and (wound[0] and ms[1].cod or wound[1] and ms[0].dom):
         _usage_error(f"cannot tensor {shapes}: a strand cannot be superposed over an essential circle")
     if op == "ptrace" and wound[0]:
         _usage_error(f"cannot close a strand of {shapes}: a strand cannot be superposed over an essential circle")
-    # a non-planar trace runs cap . iota(x) . cup, one strand wider than x
-    if op == "ptrace" and not is_planar(ms[0]) and max(ms[0].dom, ms[0].cod) + 1 > limit:
-        _usage_error(f"cannot close a strand of {shapes}: the non-planar trace needs one strand over the configured limit of {limit}")
     if op == "compose":
         _emit(json.dumps((ms[0] * ms[1]).to_json_obj(), indent=2), args.output)
     elif op == "tensor":

@@ -11,20 +11,19 @@ of the two-strand projectors one letter at a time.
 * `iota` (add a strand on the right).  A wound arc crosses every radial
   line of the annulus, so it cannot avoid the added strand, and at q=1 a
   crossing is the sum of its two smoothings (id + U).  So d (x) 1 is the
-  sum of the 2^seam pictures with every crossing smoothed, each reduced
-  like a composite; `iota_diagram` traces them on the int codes of
-  `compose`.  In quotient mode it drops the pictures that close an
-  essential circle, which gives pi(d (x) 1), pi dropping every term with
-  an essential circle.  Multiplying the strand past the letters of
-  factorize(d) (cap/cup one arity up, D -> s . D) gives the same sum,
+  sum of the 2^seam pictures with every crossing smoothed; `_smoothings`
+  walks them on the int codes of `compose`, and `iota_diagram` reduces
+  each like a composite.  In quotient mode it drops the pictures that
+  close an essential circle, which gives pi(d (x) 1), pi dropping every
+  term with an essential circle.  Multiplying the strand past the letters
+  of factorize(d) (cap/cup one arity up, D -> s . D) gives the same sum,
   because pi commutes with composition.
 * `iota_prime` (add a strand on the left) is the conjugate D^-1 iota(.) D.
 * `tensor` superposes side by side: X (x) Y = iota^|Y|(X) . iota_prime^|X|(Y),
   with a direct fast path when nothing crosses the seam.
-* `partial_trace` closes the last strand around the right: cap . iota(X) . cup.
-  Closing by naively reconnecting boundary points misclassifies the winding
-  of the closed loop whenever the last strand wraps, so the categorical
-  formula is the default and the direct splice is only used seam-free.
+* `partial_trace` closes the last strand around the right, cap . (X (x) 1) . cup,
+  by closing the cup and the cap on each picture of `_smoothings` and
+  reducing the seam after, which tells how a loop through it winds.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from .diagram import (
     id_diagram,
     make_diagram,
 )
-from .scalar import MINUS_TWO, accumulate
+from .scalar import accumulate
 
 # A letter is ("cap", n, i) | ("cup", n, i) | ("d", n, e), where n is the
 # arity of its domain; words list letters in application order.
@@ -176,8 +175,8 @@ _iota_cache: dict[tuple[str, AnnularDiagram], Morphism] = {}
 CACHE_CLEARS.append(_iota_cache.clear)
 
 
-def iota_diagram(d: AnnularDiagram) -> Morphism:
-    """d (x) 1, by resolving the crossings of the new strand level by level.
+def _smoothings(d: AnnularDiagram, quotient: bool):
+    """The states of d (x) 1, by resolving the crossings of the new strand level by level.
 
     The new strand runs from I_m to O_n just left of the R edge and crosses
     the arc at each R_t once.  Walk up it, carrying the far end of the curve
@@ -193,15 +192,11 @@ def iota_diagram(d: AnnularDiagram) -> Morphism:
     closes the carried curve on itself, and the two smoothings add up to
     -1 times carrying R_t on.  Circles count as in `compose`: -2 for each
     inessential one, and in quotient mode a state with an essential circle
-    is dropped as soon as it has one.
+    is dropped as soon as it has one.  Yields (partner code, surviving
+    levels, essential circles, int coefficient); the caller reduces the rest.
     """
     if d.ess:
         raise ValueError("cannot superpose a strand over an essential circle")
-    key = (get_config().mode, d)
-    cached = _iota_cache.get(key)
-    if cached is not None:
-        return cached
-    quotient = key[0] == MODE_QUOTIENT
     m, n, k = d.dom + 1, d.cod + 1, d.seam
     lo = m + n
     ro = lo + k
@@ -245,14 +240,25 @@ def iota_diagram(d: AnnularDiagram) -> Morphism:
                 nkey = (tuple(p), new, kept, e)
                 nxt[nkey] = nxt.get(nkey, 0) + c * (-2) ** iness
         states = nxt
-    acc: dict[AnnularDiagram, list[int]] = {}
     for (partner, carried, levels, ess), c in states.items():
         p = list(partner)
         p[carried], p[lo - 1] = lo - 1, carried
-        e, iness, ess = _canonical(p, m, n, k, list(levels), ess, 0)
+        yield p, list(levels), ess, c
+
+
+def iota_diagram(d: AnnularDiagram) -> Morphism:
+    """d (x) 1: the states of `_smoothings`, each reduced to a canonical diagram."""
+    key = (get_config().mode, d)
+    cached = _iota_cache.get(key)
+    if cached is not None:
+        return cached
+    quotient = key[0] == MODE_QUOTIENT
+    acc: dict[AnnularDiagram, list[int]] = {}
+    for p, levels, ess, c in _smoothings(d, quotient):
+        e, iness, ess = _canonical(p, d.dom + 1, d.cod + 1, d.seam, levels, ess, 0)
         if not (quotient and ess):
             accumulate(acc, e, c * (-2) ** iness, 0, 1)
-    _iota_cache[key] = out = Morphism._from_sums(m, n, acc)
+    _iota_cache[key] = out = Morphism._from_sums(d.dom + 1, d.cod + 1, acc)
     return out
 
 
@@ -318,27 +324,34 @@ def _tensor_planar(x: Morphism, y: Morphism) -> Morphism:
 
 
 def partial_trace(x: Morphism) -> Morphism:
-    """Close the last strand around the outside of the diagram."""
+    """Close the last strand of x: M -> N around the right: cap . (x (x) 1) . cup.
+
+    On each state of `_smoothings` the cup joins I_{M-1} to I_M, then the
+    cap O_{N-1} to O_N, -2 for a pair already joined; `_canonical` closes a
+    loop through the seam.  pi commutes with composition: cap . iota(x) . cup.
+    """
     if x.dom < 1 or x.cod < 1:
         raise ValueError("partial trace needs at least one strand on each side")
-    if is_planar(x):
-        m, n = x.dom, x.cod
-        last_i, last_o = m - 1, m + n - 1
-        keep = [*range(last_i), *range(m, last_o)]
-
-        def closed(d, c):
-            p = list(d.codes)
-            a, b = p[last_i], p[last_o]
-            if a == last_o:
-                c = c * MINUS_TWO
-            else:
-                p[a], p[b] = b, a
-            # the codes past I_{m-1} move down one
-            codes = tuple([q - (q > last_i) for q in map(p.__getitem__, keep)])
-            return _intern(m - 1, n - 1, 0, 0, codes), c
-
-        return Morphism._sum(m - 1, n - 1, (closed(d, c) for d, c in x.terms.items()))
-    return gen_cap(x.cod + 1, x.cod - 1) * iota(x) * gen_cup(x.dom - 1, x.dom - 1)
+    quotient = get_config().mode == MODE_QUOTIENT
+    m, n = x.dom - 1, x.cod - 1
+    lo = m + n + 4  # L_0 on the walk's points
+    acc: dict[AnnularDiagram, list[int]] = {}
+    for d, c in x.terms.items():
+        # the walk's points but the four closed ones, and their new codes
+        keep = [*range(m), *range(m + 2, lo - 2), *range(lo, lo + 2 * d.seam)]
+        ren = [*range(m), -1, -1, *range(m, lo - 4), -1, -1, *range(lo - 4, lo - 4 + 2 * d.seam)]
+        for p, levels, ess, v in _smoothings(d, quotient):
+            for i in (m, lo - 2):  # the cup, then the cap
+                a, b = p[i], p[i + 1]
+                if a == i + 1:
+                    v *= -2
+                else:
+                    p[a], p[b] = b, a
+            e, iness, ess = _canonical([ren[p[q]] for q in keep], m, n, d.seam, levels, ess, 0)
+            if not (quotient and ess):
+                v *= (-2) ** iness
+                accumulate(acc, e, c.a * v, c.b * v, c.d)
+    return Morphism._from_sums(m, n, acc)
 
 
 # -- small planar families ---------------------------------------------------

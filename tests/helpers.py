@@ -20,8 +20,11 @@ before it applied that factor one letter at a time.
 resolutions of the new strand's crossings.  `reference_weight_tensor`,
 `reference_split` and `reference_split_nested` build the product formula
 over the tensor factors a = T_m (x) id_n and b = id_m (x) T_n, as the
-engine did before it went through T_m (x) T_n and the junction cap.  All
-are kept as test oracles.
+engine did before it went through T_m (x) T_n and the junction cap.
+`reference_partial_trace` closes the last strand by splicing seam-free
+operands in place and by cap . iota(x) . cup otherwise, as the engine
+did before it closed the cup and the cap on the states of the strand
+walk.  All are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from atlq import (
     gen_u,
     highest_weight,
     iota,
+    is_planar,
     jones_wenzl,
     lowest_weight,
     nested_caps,
@@ -51,7 +55,7 @@ from atlq import (
     tensor,
 )
 from atlq.config import MODE_QUOTIENT, get_config
-from atlq.diagram import AnnularDiagram, Arc, Point, _KIND_ORDER, compose, make_diagram, point_key
+from atlq.diagram import AnnularDiagram, Arc, Point, _KIND_ORDER, _intern, compose, make_diagram, point_key
 from atlq.rep import WeightMap, _strands, sign_strings
 from atlq.scalar import I, MINUS_I, MINUS_TWO, ONE, ZERO, GaussianRational
 
@@ -231,6 +235,30 @@ def reference_iota_diagram(d: AnnularDiagram) -> Morphism:
             letter = gen_d(n + 1, -1) * crossing(n + 1, n)
         out = letter * out
     return out
+
+
+def reference_partial_trace(x: Morphism) -> Morphism:
+    """Close the last strand: spliced in place seam-free, else cap . iota(x) . cup."""
+    if x.dom < 1 or x.cod < 1:
+        raise ValueError("partial trace needs at least one strand on each side")
+    if is_planar(x):
+        m, n = x.dom, x.cod
+        last_i, last_o = m - 1, m + n - 1
+        keep = [*range(last_i), *range(m, last_o)]
+
+        def closed(d, c):
+            p = list(d.codes)
+            a, b = p[last_i], p[last_o]
+            if a == last_o:
+                c = c * MINUS_TWO
+            else:
+                p[a], p[b] = b, a
+            # the codes past I_{m-1} move down one
+            codes = tuple([q - (q > last_i) for q in map(p.__getitem__, keep)])
+            return _intern(m - 1, n - 1, 0, 0, codes), c
+
+        return Morphism._sum(m - 1, n - 1, (closed(d, c) for d, c in x.terms.items()))
+    return gen_cap(x.cod + 1, x.cod - 1) * iota(x) * gen_cup(x.dom - 1, x.dom - 1)
 
 
 # -- seam reduction -------------------------------------------------------

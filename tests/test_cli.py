@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from atlq import Morphism, WeightMap, config, extremal, gen_d, gen_u, jones_wenzl, phi, tensor
+from atlq import Morphism, WeightMap, config, extremal, gen_d, gen_id, gen_u, jones_wenzl, phi, tensor
 from atlq.cli import _BUILTINS, PROJECTOR_KINDS, load_operand, main
 from atlq.render import render_ascii, render_svg, render_tikz
 
@@ -169,7 +169,6 @@ _ID_1 = {"seam": 0, "ess": 0, "arcs": [["I0", "O0"]]}
         (["eval", "odd.json", "coords"], {"odd.json": {"dom": 1, "cod": 0, "terms": []}}),
         (["--max-strands", "3", "eval", "id_2", "id_2", "tensor"], {}),
         (["--max-strands", "3", "eval", "u_2_1", "coords"], {}),
-        (["--max-strands", "3", "eval", "d_3", "ptrace"], {}),
         (["--max-strands", "3", "eval", "wide_term.json", "phi"],
          {"wide_term.json": {"dom": 10**6, "cod": 0,
                              "terms": [{"diagram": {"seam": 0, "ess": 0, "arcs": [["I0", "I1"]]},
@@ -267,12 +266,17 @@ def test_verify_max_zero_still_runs(capsys):
     assert code == 0 and out.startswith("PASS")
 
 
-def test_planar_ptrace_at_the_limit(capsys):
-    # a planar operand is traced in place, so it may use every allowed strand
-    code, out = run(capsys, "--max-strands", "3", "eval", "id_3", "ptrace")
+@pytest.mark.parametrize("name, expect", [
+    ("id_3", lambda: gen_id(2).scale(-2)),
+    # the value cap . iota(d_3) . cup gave, one strand over the limit
+    ("d_3", lambda: gen_d(2, 1).scale(-1)),
+], ids=["id_3", "d_3"])
+def test_ptrace_at_the_limit(name, expect, capsys):
+    # the trace builds nothing wider than its operand, so it may use every
+    # allowed strand, whether or not the operand winds
+    code, out = run(capsys, "--max-strands", "3", "eval", name, "ptrace")
     assert code == 0
-    traced = Morphism.from_json_obj(json.loads(out))
-    assert (traced.dom, traced.cod) == (2, 2) and traced.terms
+    assert Morphism.from_json_obj(json.loads(out)) == expect()
 
 
 _ZERO = {"dom": 1, "cod": 1, "terms": []}

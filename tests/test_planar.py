@@ -25,6 +25,7 @@ from atlq import (
     iota,
     iota_prime,
     is_planar,
+    jones_wenzl,
     nested_caps,
     nested_cups,
     partial_trace,
@@ -42,6 +43,7 @@ from helpers import (
     random_word,
     reference_inputs,
     reference_iota_diagram,
+    reference_partial_trace,
     wound_diagrams,
 )
 
@@ -266,6 +268,61 @@ def test_partial_trace_of_rotation():
 def test_partial_trace_needs_a_strand():
     with pytest.raises(ValueError):
         partial_trace(gen_id(0))
+
+
+@pytest.mark.parametrize("mode", ["quotient", "raw"])
+def test_partial_trace_of_one_strand(mode):
+    # closing the identity strand leaves an inessential circle; closing a
+    # rotated one winds once around the core, an essential circle
+    with configure(mode=mode):
+        assert partial_trace(gen_id(1)) == gen_id(0).scale(MINUS_TWO)
+        circle = Morphism.from_diagram(make_diagram(0, 0, 0, 1, ())).scale(MINUS_ONE)
+        for e in (1, -1):
+            assert partial_trace(gen_d(1, e)) == (circle if mode == "raw" else Morphism.zero(0, 0))
+
+
+@pytest.mark.parametrize("mode", ["quotient", "raw"])
+def test_partial_trace_matches_reference(mode):
+    # the seeded products, the wound words and the projectors, seam-free
+    # operands among them, against the splice and cap . iota(x) . cup
+    with configure(mode="quotient"):
+        wound = wound_diagrams(random.Random(5), 400, 8)
+    pool = reference_inputs(mode) + wound
+    with configure(mode=mode):
+        xs = [Morphism.from_diagram(d) for d in pool] + projector_family()
+        for x in xs:
+            if not (x.dom and x.cod):
+                continue
+            if any(d.ess for d in x.terms):
+                for trace in (partial_trace, reference_partial_trace):
+                    with pytest.raises(ValueError):
+                        trace(x)
+            else:
+                assert partial_trace(x) == reference_partial_trace(x), x
+
+
+# sha256 of partial_trace(x).dumps(), taken from cap . iota(x) . cup and the
+# seam-free splice before the trace walked the closing strand itself
+_TRACE_DIGESTS = {
+    (extremal, 2): "cfe5313ab3f672c250401c2c9c5f1cb2ac3322306df67122d60cbfd4ecd28b2c",
+    (extremal, 3): "4470713a8c106b1760a217b22e6f02816dc2c0ed020a765f00cdd22c343f0643",
+    (extremal, 4): "e0801c787fdcc94c2dc0030db1d0aadf4ebcea170f4ebcc90b60348dbaa1d2c8",
+    (extremal, 5): "a64e6a135adda6e685bc1f5415e9d2835f9a9af161fdb2d8ff69d454557ace05",
+    (jones_wenzl, 2): "5c6c2d8975dff459b8ec9eb046901e93eb4d657221f8619e43753cc35cca1923",
+    (jones_wenzl, 3): "ef33d263e3b0e60c774321f7e272841e2b4e67345644bc7571072f1f424140ed",
+    (jones_wenzl, 4): "d01e201673e6d12b1e0d2e8323eb4726142dd615f874fce61ff0093f93e1ae5a",
+    (jones_wenzl, 5): "6f3b0f820276130787311173e532dfc137ade686365d36224b4f64c16a5c625b",
+    (jones_wenzl, 6): "1e87e16fc7d96bfed9489cb0b0b1184241df25fa28b51dd887136a077b5cbb7c",
+    (highest_weight, 2): "e56e341a4966ab9e2d8cb49cb3e81bbd694494e31c319900614f94519b48b885",
+    (highest_weight, 3): "2d8407f8d27d0853602782ea78c852b1799a5dba9669ff7a70e0ad6ebf57b0d3",
+    (highest_weight, 4): "158ce498c5c9d241b5eafe985393fae77b1850fdd4e1b52ea881767748942dd0",
+}
+
+
+def test_partial_trace_is_frozen():
+    for (build, m), digest in _TRACE_DIGESTS.items():
+        out = partial_trace(build(m)).dumps()
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (build.__name__, m)
 
 
 # -- essential circles -------------------------------------------------------
