@@ -24,7 +24,7 @@ from itertools import product
 
 from .diagram import AnnularDiagram, Morphism, gen_id, make_diagram
 from .planar import nested_caps, nested_cups, tensor
-from .rep import _I_POWERS, WeightMap, _phases, phi, solve_columns
+from .rep import _I_POWERS, WeightMap, _phases, _strings_of_length, phi, solve_columns
 
 LabelString = str
 
@@ -108,9 +108,11 @@ def f_inverse(y: Morphism, dom: int) -> Morphism:
 def basis_columns(n_points: int) -> list[dict]:
     """The weight vectors of the basis diagrams of hom(0, n_points), in label order.
 
-    Each is read off the diagram's phase table, whose one column is "".
+    Each is read off the diagram's phase table, whose one column is "", so
+    a mask there is the row's.
     """
-    return [{key[0]: _I_POWERS[k] for key, k in _phases(b)} for b in enumerate_basis(n_points)]
+    rows = _strings_of_length(n_points)
+    return [{rows[mask]: _I_POWERS[k] for mask, k in _phases(b)} for b in enumerate_basis(n_points)]
 
 
 def coordinates(x: Morphism) -> list:

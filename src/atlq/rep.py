@@ -39,15 +39,25 @@ and gives -2 for a contractible circle (each of its two orientations
 passes one tangent each way, a phase of -1) and 0 for an essential
 circle (i + -i).
 
-Each diagram's table of (row, column, k) is built once, on ints: an
-orientation of all strands is a sign mask over the I and O points, and
-the list of masks doubles once per strand and is sorted, which puts the
-entries in (column, row) order.  A mask becomes a sign string only at
-the end, through a memo per string length that makes each string on its
-first use: a 0 -> 2n diagram has 2^n of the 4^n strings of its length.
+Each diagram's table of (mask, k) pairs is built once, on ints: an
+orientation of all strands is a sign mask over the I and O points, with
+the column's bits above the row's, and the list of masks doubles once
+per strand and is sorted, which puts the entries in (column, row) order.
+The tables hold no strings.
+
 `phi` scales every coefficient of its operand to one common denominator
-first, so each table entry adds two ints to its sum and no sum is ever
-rescaled.
+den and packs each of its four turns c * i^k, numerators re + im*i, into
+the one int re + (im << K).  Each table entry then adds one int to the
+sum at its mask.  K is the bit length of B = den * sum(|a| + |b|) over
+the operand's coefficients (a + b*i)/d, plus 2.  A table holds each mask
+once, so the real part of a sum adds at most one numerator of each term,
+and |sum re| <= B < 2^(K-2).  So a packed sum p has one split into
+re + (im << K) with -2^(K-1) <= re < 2^(K-1), which the unpacking
+im = (p + 2^(K-1)) >> K, re = p - (im << K) finds exactly, and p is 0
+only where both parts are.  A mask becomes its (row, col) key only for
+a sum that does not vanish, through a memo per shape whose sign strings
+come from a memo per string length that makes each string on its first
+use: a 0 -> 2n diagram has 2^n of the 4^n strings of its length.
 
 A `WeightMap` stores only the nonzero entries as (output string, input
 string) -> scalar.
@@ -215,7 +225,7 @@ class _SignStrings(dict):
     Bit n-1-j of the mask is set where the string has '-' at j, so masks
     order as their strings do.  A 0 -> 2n diagram has 2^n rows among the
     4^n strings of their length: a table of them all could not be held.
-    All tables and weight maps share the one string made per mask.
+    All weight maps and basis columns share the one string made per mask.
     """
 
     __slots__ = ("top",)
@@ -241,27 +251,58 @@ def _strings_of_length(n: int) -> _SignStrings:
     return table
 
 
-_phi_cache: dict[AnnularDiagram, tuple[tuple[tuple[str, str], int], ...]] = {}
+class _ShapeKeys(dict):
+    """The (row, col) key of each sign mask of an m -> n weight map, made on first use.
+
+    The mask holds the column's m bits above the row's n bits, as `_phases`
+    writes them.
+    """
+
+    __slots__ = ("rows", "cols", "n", "low")
+
+    def __init__(self, m: int, n: int):
+        super().__init__()
+        self.rows, self.cols = _strings_of_length(n), _strings_of_length(m)
+        self.n, self.low = n, (1 << n) - 1
+
+    def __missing__(self, mask: int) -> tuple[str, str]:
+        key = self[mask] = (self.rows[mask & self.low], self.cols[mask >> self.n])
+        return key
+
+
+_SHAPE_KEYS: dict[tuple[int, int], _ShapeKeys] = {}
+CACHE_CLEARS.append(_SHAPE_KEYS.clear)
+
+
+def _shape_keys(m: int, n: int) -> _ShapeKeys:
+    keys = _SHAPE_KEYS.get((m, n))
+    if keys is None:
+        keys = _SHAPE_KEYS[m, n] = _ShapeKeys(m, n)
+    return keys
+
+
+_phi_cache: dict[AnnularDiagram, tuple[tuple[int, int], ...]] = {}
 CACHE_CLEARS.append(_phi_cache.clear)
 
 
-def _phases(d: AnnularDiagram) -> tuple[tuple[tuple[str, str], int], ...]:
-    """The ((row, col), k) pairs of d's weight map, whose entries are i^k.
+def _phases(d: AnnularDiagram) -> tuple[tuple[int, int], ...]:
+    """The (mask, k) pairs of d's weight map, whose entries are i^k.
 
     An orientation of all strands is one int.  Bit shift + top - p is set
     where the I or O point of code p gets '-': where the orientation stops
     at an I point or starts at an O point.  The bits below `shift` count
     its quarter turns, at most 5 per segment, so they never carry into the
     mask.  The column bits are the high ones, so the ints sort in
-    (column, row) order, as `columns()` and `rank()` read them.
+    (column, row) order, as `columns()` and `rank()` read them; `_shape_keys`
+    names each mask's (row, col).
     """
     table = _phi_cache.get(d)
     if table is not None:
         return table
     entries = []
     if not d.ess:
-        m, n = d.dom, d.cod
-        top = m + n - 1
+        m = d.dom
+        top = m + d.cod - 1
         shift = (5 * len(d.codes)).bit_length()
         keyed = [0]
         for a, b, fwd, bwd in _strands(d):
@@ -272,34 +313,33 @@ def _phases(d: AnnularDiagram) -> tuple[tuple[tuple[str, str], int], ...]:
             f <<= shift
             keyed = [(v | f) + fwd for v in keyed] + [(v | g) + bwd for v in keyed]
         keyed.sort()
-        rows, cols, low = _strings_of_length(n), _strings_of_length(m), (1 << n) - 1
-        entries = [((rows[v >> shift & low], cols[v >> n + shift]), v & 3) for v in keyed]
+        entries = [(v >> shift, v & 3) for v in keyed]
     table = _phi_cache[d] = tuple(entries)
     return table
 
 
-def phi_diagram(d: AnnularDiagram) -> WeightMap:
-    return WeightMap(d.dom, d.cod, {key: _I_POWERS[k] for key, k in _phases(d)})
-
-
 def phi(x: Morphism) -> WeightMap:
-    # every coefficient over one denominator, so each entry adds two ints
-    den = lcm(*(c.d for c in x.terms.values()))
-    acc: dict[tuple[str, str], list[int]] = {}
+    # one denominator, and each sum packed in one int (module docstring)
+    coeffs = x.terms.values()
+    den = lcm(*(c.d for c in coeffs))
+    K = (sum(abs(c.a) + abs(c.b) for c in coeffs) * den).bit_length() + 2
+    acc: dict[int, int] = {}
+    get = acc.get
     for d, c in x.terms.items():
         f = den // c.d
         a, b = c.a * f, c.b * f
         # c * i^k: each factor i sends (a, b) to (-b, a)
-        turned = ((a, b), (-b, a), (-a, -b), (b, -a))
-        for key, k in _phases(d):
-            ra, rb = turned[k]
-            e = acc.get(key)
-            if e is None:
-                acc[key] = [ra, rb, den]
-            else:
-                e[0] += ra
-                e[1] += rb
-    return WeightMap._from_sums(x.dom, x.cod, acc)
+        p0, p1 = a + (b << K), (a << K) - b
+        turned = (p0, p1, -p0, -p1)
+        for mask, k in _phases(d):
+            acc[mask] = get(mask, 0) + turned[k]
+    keys, half = _shape_keys(x.dom, x.cod), 1 << K - 1
+    entries = {}
+    for mask, p in acc.items():
+        if p:
+            im = (p + half) >> K
+            entries[keys[mask]] = _make(p - (im << K), im, den)
+    return WeightMap._checked(x.dom, x.cod, entries)
 
 
 def extremal_matrix(m: int) -> WeightMap:

@@ -19,11 +19,11 @@ a map dom -> cod.  Both linear objects of the package are such sums: a
 
 The loops that fold a product into such a sum (`diagram.mor_compose`,
 `rep.phi`, `WeightMap.__mul__`) never build a `GaussianRational` per
-pair.  They add raw integer numerators, and `Combination._from_sums`
-reduces each output key once: one gcd per key, not one per multiply and
-add.  `mor_compose` and `*` add with `accumulate`, rescaling only where
-denominators differ; `rep.phi` puts its operand over one denominator
-first, so it never rescales.
+pair.  They add raw integer numerators and reduce each output key once:
+one gcd per key, not one per multiply and add.  `mor_compose` and `*`
+add with `accumulate`, rescaling only where denominators differ, and
+`Combination._from_sums` reduces; `rep.phi` puts its operand over one
+denominator first and packs both numerators of each sum into one int.
 """
 
 from __future__ import annotations
@@ -224,10 +224,10 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
 # (a + b*i)/d, not reduced.  Adding a value over the entry's denominator
 # is two int adds; any other denominator rescales both to their lcm, never
 # to their product, so d stays bounded by the lcm of the values added.
-# `rep.phi` scales its operand to the lcm of all its denominators before
-# it folds, so every add there is the two int adds, made in place without
-# `accumulate`.  `Combination._from_sums` reduces each entry once, at the
-# end.
+# `Combination._from_sums` reduces each entry once, at the end.  `rep.phi`
+# keeps no such lists: it scales its operand to the lcm of all its
+# denominators before it folds, and then each sum is one int holding both
+# numerators, so an add is one int add.
 
 
 def accumulate(acc: dict, key, a: int, b: int, d: int) -> None:

@@ -4,9 +4,13 @@ Everything here takes an explicit random.Random so failures reproduce
 from the seed alone.  `reference_compose` is the dict-based diagram
 composition that the int-coded `diagram.compose` replaced, and
 `reference_phi_diagram` the word-based weight functor that the strand
-tracing of `rep.phi_diagram` replaced.  `reference_phases` is the
+tracing of `rep._phases` replaced.  `reference_phases` is the
 product over strand orientations that built the tables of `rep._phases`
-before they were built from sign masks.  `reference_mor_compose` and
+before they were built from sign masks, and `reference_phase_map` reads
+one diagram's weight map off it.  `reference_phi` folds each sum of
+`rep.phi` as a list of two numerators and a denominator per (row, col)
+key, as the engine did before it packed each sum into one int keyed by
+its sign mask.  `reference_mor_compose` and
 `reference_weightmap_mul` fold their products through `GaussianRational`
 arithmetic, reduced at every step, as the engine did before it summed
 raw integer numerators.  `reference_rank_of_columns` and
@@ -32,6 +36,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from sys import intern
 
 from atlq import (
@@ -56,7 +61,7 @@ from atlq import (
 )
 from atlq.config import MODE_QUOTIENT, get_config
 from atlq.diagram import AnnularDiagram, Arc, Point, _KIND_ORDER, _intern, compose, make_diagram, point_key
-from atlq.rep import WeightMap, _strands, sign_strings
+from atlq.rep import _I_POWERS, WeightMap, _strands, sign_strings
 from atlq.scalar import I, MINUS_I, MINUS_TWO, ONE, ZERO, GaussianRational
 
 
@@ -545,6 +550,32 @@ def reference_phases(d: AnnularDiagram) -> tuple[tuple[tuple[str, str], int], ..
         # columns in sign-string order, as `columns()` and `rank()` read them
         entries.sort(key=lambda e: (e[0][1], e[0][0]))
     return tuple(entries)
+
+
+def reference_phase_map(d: AnnularDiagram) -> WeightMap:
+    """The weight map of d, read off `reference_phases(d)`."""
+    return WeightMap(d.dom, d.cod, {key: _I_POWERS[k] for key, k in reference_phases(d)})
+
+
+def reference_phi(x: Morphism) -> WeightMap:
+    """phi(x), with each sum folded as a [re, im, den] list per (row, col) key."""
+    # every coefficient over one denominator, so each entry adds two ints
+    den = lcm(*(c.d for c in x.terms.values()))
+    acc: dict[tuple[str, str], list[int]] = {}
+    for d, c in x.terms.items():
+        f = den // c.d
+        a, b = c.a * f, c.b * f
+        # c * i^k: each factor i sends (a, b) to (-b, a)
+        turned = ((a, b), (-b, a), (-a, -b), (b, -a))
+        for key, k in reference_phases(d):
+            ra, rb = turned[k]
+            e = acc.get(key)
+            if e is None:
+                acc[key] = [ra, rb, den]
+            else:
+                e[0] += ra
+                e[1] += rb
+    return WeightMap._from_sums(x.dom, x.cod, acc)
 
 
 # -- exact elimination through GaussianRational ----------------------------

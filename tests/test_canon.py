@@ -28,10 +28,16 @@ from atlq import (
     tensor,
 )
 from atlq.canon import basis_columns, labels_from_matching, matching_from_labels
-from atlq.rep import extremal_matrix, phi_diagram, rank_of_columns, solve_columns
+from atlq.rep import extremal_matrix, rank_of_columns, solve_columns
 from atlq.scalar import HALF, MINUS_ONE, ONE, TWO, ZERO
 
-from helpers import compose_word, projector_family, random_single_diagram, random_word
+from helpers import (
+    compose_word,
+    projector_family,
+    random_single_diagram,
+    random_word,
+    reference_phase_map,
+)
 
 
 def _seeded_morphisms(seed: int, count: int) -> list[Morphism]:
@@ -102,8 +108,8 @@ def test_coordinates_linear():
 
 
 def _weight_columns(n: int) -> list[dict]:
-    """The basis weight vectors through `phi_diagram` and `columns()`."""
-    return [phi_diagram(b).columns().get("", {}) for b in enumerate_basis(n)]
+    """The basis weight vectors through `reference_phase_map` and `columns()`."""
+    return [reference_phase_map(b).columns().get("", {}) for b in enumerate_basis(n)]
 
 
 def test_basis_columns_match_the_weight_maps():

@@ -444,7 +444,7 @@ def test_results_survive_clear_caches(monkeypatch):
 def test_no_memo_escapes_clear_caches():
     extremal(3), phi_extremal(3), weight_tensor(2, 1), WEIGHTS.split(2, 1), cheb_l(4)
     tables = (diagram._POOL, diagram._IDENTITIES, diagram._GLUE, planar._factor_cache,
-              planar._iota_cache, rep._phi_cache, rep._SIGN_STRINGS)
+              planar._iota_cache, rep._phi_cache, rep._SIGN_STRINGS, rep._SHAPE_KEYS)
     assert all(tables)  # each one is in use before the clear
     clear_caches()
     owners = [vars(mod) for name, mod in sys.modules.items() if name.split(".")[0] == "atlq"]
@@ -459,4 +459,4 @@ def test_no_memo_escapes_clear_caches():
         memo.__name__ for memo in memos
     }
     assert [memo.__name__ for memo in memos if memo.cache_info().currsize] == []
-    assert [len(table) for table in tables] == [0, 0, 0, 0, 0, 0, 0]
+    assert [len(table) for table in tables] == [0, 0, 0, 0, 0, 0, 0, 0]

@@ -22,11 +22,12 @@ from atlq import (
     gen_id,
     gen_u,
     nested_cups,
+    partial_trace,
     phi,
 )
 from atlq import rep
 from atlq.diagram import id_diagram, make_diagram
-from atlq.rep import phi_diagram, rank_of_columns, sign_strings, solve_columns
+from atlq.rep import rank_of_columns, sign_strings, solve_columns
 from atlq.scalar import I, MINUS_I, MINUS_ONE, ONE, TWO, ZERO
 
 from helpers import (
@@ -35,7 +36,9 @@ from helpers import (
     random_combination,
     random_word,
     reference_inputs,
+    reference_phase_map,
     reference_phases,
+    reference_phi,
     reference_phi_diagram,
     reference_rank_of_columns,
     reference_solve_columns,
@@ -124,7 +127,7 @@ def test_phi_diagram_hand_built(case):
     (dom, cod, seam, arcs), entries = _HAND_BUILT[case]
     d = make_diagram(dom, cod, seam, 0, arcs)
     d.validate()
-    assert phi_diagram(d) == WeightMap(dom, cod, entries)
+    assert phi(Morphism.from_diagram(d)) == WeightMap(dom, cod, entries)
 
 
 @pytest.mark.parametrize("mode", ["quotient", "raw"])
@@ -134,7 +137,7 @@ def test_phi_diagram_matches_reference(mode):
     if mode == "raw":
         assert any(d.ess for d in pool)
     for d in pool:
-        got = phi_diagram(d)
+        got = phi(Morphism.from_diagram(d))
         assert got == reference_phi_diagram(d)
         if d.ess:
             assert got.is_zero()
@@ -142,8 +145,8 @@ def test_phi_diagram_matches_reference(mode):
 
 @pytest.mark.parametrize("mode", ["quotient", "raw"])
 def test_phase_tables_match_reference(mode):
-    # the sign-mask tables against the product over strand orientations,
-    # entry order included
+    # the sign-mask tables, each mask named through its shape's keys,
+    # against the product over strand orientations, entry order included
     with configure(mode="quotient"):
         wound = wound_diagrams(random.Random("phases"), 400, 24)
     with configure(mode=mode):
@@ -152,7 +155,8 @@ def test_phase_tables_match_reference(mode):
         pool += [id_diagram(0), make_diagram(1, 1, 0, 1, [(("I", 0), ("O", 0))])]
         assert any(d.ess for d in pool) and max(d.seam for d in pool) >= 8
         for d in pool:
-            assert rep._phases(d) == reference_phases(d)
+            keys = rep._shape_keys(d.dom, d.cod)
+            assert tuple((keys[mask], k) for mask, k in rep._phases(d)) == reference_phases(d)
 
 
 def test_sign_strings_are_made_on_first_use():
@@ -176,9 +180,53 @@ def _seeded_combinations(mode: str) -> list:
 def test_phi_is_the_sum_of_its_diagram_images(mode):
     for x in projector_family() + _seeded_combinations(mode):
         want = WeightMap._sum(x.dom, x.cod, (
-            (key, c * v) for d, c in x.terms.items() for key, v in phi_diagram(d).entries.items()
+            (key, c * v)
+            for d, c in x.terms.items()
+            for key, v in reference_phase_map(d).entries.items()
         ))
         assert list(phi(x).entries.items()) == list(want.entries.items())
+
+
+def _packing_edge_cases(mode: str) -> list:
+    """Morphisms whose packed sums sit at the edges of the one-int fold."""
+    t5 = extremal(5)
+    big = GaussianRational(Fraction(3**45 + 1, 3), Fraction(-(7**30), 7))
+    out = [
+        t5.scale(big),
+        t5 - t5.scale(I),
+        Morphism.zero(2, 2),
+        # one term scaled by a power of two: its entries reach the bound B
+        gen_u(3, 1).scale(2**70),
+        gen_d(2, 1).scale(GaussianRational(-(2**40), 1)),
+    ]
+    # negative real parts against positive imaginary ones, past 2^64, over
+    # mixed denominators
+    rng = random.Random(f"packed-{mode}")
+    for x in projector_family()[:4]:
+        out.append(Morphism(x.dom, x.cod, {
+            d: GaussianRational(Fraction(-rng.randrange(2**70), rng.choice((1, 3, 7, 21))),
+                                Fraction(rng.randrange(2**66), rng.choice((1, 3, 7))))
+            for d in x.terms
+        }))
+    # nonzero morphisms whose every sum cancels to exactly 0
+    with configure(mode="quotient"):
+        out += [t5 * gen_u(5, 1), partial_trace(extremal(4)) + extremal(3)]
+    return out
+
+
+@pytest.mark.parametrize("mode", ["quotient", "raw"])
+def test_phi_packed_fold_is_exact(mode):
+    # the one-int fold keyed by sign masks against the fold of two
+    # numerators per (row, col) key: the same entries in the same order
+    with configure(mode=mode):
+        cases = projector_family() + _seeded_combinations(mode) + _packing_edge_cases(mode)
+        if mode == "raw":
+            assert any(d.ess for x in cases for d in x.terms)
+        for x in cases:
+            assert list(phi(x).entries.items()) == list(reference_phi(x).entries.items())
+    # T_5's 9,312 entry updates leave 2 entries
+    assert len(phi(extremal(5)).entries) == 2
+    assert all(x.terms and phi(x).is_zero() for x in cases[-2:])
 
 
 @pytest.mark.parametrize("mode", ["quotient", "raw"])
@@ -226,7 +274,7 @@ def test_phi_is_linear():
         assert phi(x + x) == phi(x).scale(2)
         by_terms = WeightMap.zero(x.dom, x.cod)
         for d, c in x.terms.items():
-            by_terms = by_terms + phi_diagram(d).scale(c)
+            by_terms = by_terms + reference_phase_map(d).scale(c)
         assert phi(x) == by_terms
 
 
