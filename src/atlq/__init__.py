@@ -6,7 +6,7 @@ The default working mode is the quotient in which essential circles are
 set to zero; see `configure` to switch to the raw category.
 """
 
-from . import config
+from . import config, diagram
 from .canon import coordinates, enumerate_basis, ess_equal, f_apply, f_inverse, phi_chain
 from .cheb import cheb_j, cheb_l, poly_str
 from .config import configure
@@ -59,14 +59,18 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty the engine's memos and the diagram pool; results do not change.
+    """Empty the engine's memos and shrink the diagram pool; results do not change.
 
     It runs every function in `config.CACHE_CLEARS`, where each memo
     declared with `config.memo` and each dict table registers its clear.
-    A diagram kept by a live morphism stays equal (==) to one built afresh.
+    Then the pool keeps only the diagrams still alive, each interned as
+    before, so a diagram kept by a live morphism is the very object that
+    a fresh build returns.  Do not run it while another thread is
+    building diagrams.
     """
     for clear in config.CACHE_CLEARS:
         clear()
+    diagram.repool()
 
 
 __all__ = [

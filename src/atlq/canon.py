@@ -136,12 +136,15 @@ def coordinates(x: Morphism) -> list:
 
 
 def ess_equal(x: Morphism, y: Morphism) -> bool:
-    """Equality in the essential-circle quotient, decided by the functor."""
+    """Equality in the essential-circle quotient, decided by the functor.
+
+    Equal terms give equal images, so they decide it before phi is built.
+    """
     if x.dom != y.dom or x.cod != y.cod:
         raise ValueError(
             f"shape mismatch: {x.dom}->{x.cod} vs {y.dom}->{y.cod}"
         )
-    return phi(x) == phi(y)
+    return x.terms == y.terms or phi(x) == phi(y)
 
 
 def phi_chain(*factors: Morphism):

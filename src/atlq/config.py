@@ -93,7 +93,8 @@ def guard(n: int) -> None:
 
 
 # the clear function of every engine memo and table, registered where it is
-# declared, so a wrapper later patched over a public name leaves it reachable
+# declared, so a wrapper later patched over a public name leaves it reachable;
+# not the diagram pool, which `clear_caches` shrinks after them
 CACHE_CLEARS: list = []
 
 

@@ -39,8 +39,9 @@ with c < codes[c], read in increasing c, are the canonical sorted arc
 tuple; `arcs` is that view, built on demand for JSON text, printing and
 rendering only.  `make_diagram` codes the readable arc lists of the
 constructors, and `validate` checks the stored code.  The code, with the
-sizes and the essential circle count, is the diagram's hash, its
-equality and its key in the pool that interns it.
+sizes and the essential circle count, is the diagram's key in the pool
+that builds every diagram, one object per key, so hash and == are the
+identity's.
 
 `Morphism` is a finite linear combination of diagrams with coefficients in
 Q(i): a `scalar.Combination` whose keys are diagrams, from which it
@@ -53,8 +54,9 @@ essential circle are dropped.
 
 from __future__ import annotations
 
+import gc
 import re as _re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from .config import CACHE_CLEARS, MODE_QUOTIENT, get_config, guard, memo
@@ -75,7 +77,7 @@ class AnnularDiagram:
     """A canonical annular diagram dom -> cod, stored as its partner code.
 
     Build diagrams through `make_diagram` or composition, which intern
-    them: equal diagrams are then the same object.
+    them, as pickles and copies do: equal diagrams are the same object.
     """
 
     dom: int
@@ -83,33 +85,10 @@ class AnnularDiagram:
     seam: int
     ess: int
     codes: tuple[int, ...]
-    _hash: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash", hash((self.dom, self.cod, self.seam, self.ess, self.codes))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         # reloading interns the diagram, so identity holds after a round trip
         return (_intern, (self.dom, self.cod, self.seam, self.ess, self.codes))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, AnnularDiagram):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.dom == other.dom
-            and self.cod == other.cod
-            and self.seam == other.seam
-            and self.ess == other.ess
-            and self.codes == other.codes
-        )
 
     @property
     def arcs(self) -> tuple[Arc, ...]:
@@ -178,10 +157,9 @@ def _validate_code(dom: int, cod: int, seam: int, ess: int, codes) -> None:
         raise ValueError("through strand coexists with an essential circle")
 
 
-# diagrams recur heavily during composition; interning keeps one object per
-# canonical form so hashing and equality usually reduce to identity checks
+# one object per canonical form, so hashing and equality of diagrams are
+# identity; `repool` (not CACHE_CLEARS) empties it, keeping the live ones
 _POOL: dict[tuple, AnnularDiagram] = {}
-CACHE_CLEARS.append(_POOL.clear)
 
 
 def _intern(dom: int, cod: int, seam: int, ess: int, codes: tuple[int, ...]) -> AnnularDiagram:
@@ -190,6 +168,19 @@ def _intern(dom: int, cod: int, seam: int, ess: int, codes: tuple[int, ...]) -> 
     if d is None:
         d = _POOL.setdefault(key, AnnularDiagram(dom, cod, seam, ess, codes))
     return d
+
+
+def repool() -> None:
+    """Empty the pool, then intern again every diagram still alive.
+
+    Run it after the memos are emptied, which would keep theirs alive, and
+    never while another thread builds diagrams: one could duplicate a live one.
+    """
+    _POOL.clear()
+    gc.collect()
+    for d in gc.get_objects():
+        if type(d) is AnnularDiagram:
+            _POOL[d.dom, d.cod, d.seam, d.ess, d.codes] = d
 
 
 def _code_of(dom: int, cod: int, seam: int, arcs) -> tuple[int, ...]:

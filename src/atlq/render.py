@@ -14,7 +14,7 @@ point coordinates are emitted with a fixed number of decimals.
 
 from __future__ import annotations
 
-from .diagram import AnnularDiagram, Morphism, _point_names
+from .diagram import AnnularDiagram, Morphism, _intern, _point_names
 
 PAD = 30.0
 CAP = 18.0
@@ -53,7 +53,7 @@ def render_svg(m: Morphism) -> str:
     total_h = 0.0
     for diag, coeff in terms:
         if diag is None:
-            diag = AnnularDiagram(m.dom, m.cod, 0, 0, ())
+            diag = _intern(m.dom, m.cod, 0, 0, ())  # an empty box, for its size
             caption = "0"
         else:
             caption = str(coeff)
@@ -137,7 +137,7 @@ def render_tikz(m: Morphism) -> str:
     x_off = 0.0
     for diag, coeff in terms:
         if diag is None:
-            diag = AnnularDiagram(m.dom, m.cod, 0, 0, ())
+            diag = _intern(m.dom, m.cod, 0, 0, ())  # an empty box, for its size
             caption = "0"
         else:
             caption = str(coeff)

@@ -9,6 +9,7 @@ import pytest
 from atlq import (
     Morphism,
     WeightMap,
+    canon,
     coordinates,
     enumerate_basis,
     ess_equal,
@@ -23,6 +24,7 @@ from atlq import (
     jones_wenzl,
     lowest_weight,
     nested_cups,
+    partial_trace,
     phi,
     phi_chain,
     tensor,
@@ -205,6 +207,29 @@ def test_ess_equal_matches_bent_diagrams():
 def test_ess_equal_shape_check():
     with pytest.raises(ValueError):
         ess_equal(gen_id(1), gen_id(2))
+    # two zeros have equal (empty) terms; their shapes still decide first
+    with pytest.raises(ValueError, match="shape mismatch"):
+        ess_equal(Morphism.zero(1, 1), Morphism.zero(2, 0))
+
+
+def test_ess_equal_reads_equal_terms_without_phi(monkeypatch):
+    x = extremal(4)
+    same = Morphism.loads(x.dumps())
+
+    def no_phi(m):
+        raise AssertionError("phi built for syntactically equal morphisms")
+
+    monkeypatch.setattr(canon, "phi", no_phi)
+    assert ess_equal(x, x) and ess_equal(x, same) and ess_equal(Morphism.zero(2, 0), Morphism.zero(2, 0))
+    with pytest.raises(AssertionError, match="phi built"):
+        ess_equal(x, x.scale(2))
+
+
+def test_ess_equal_partial_trace_of_t4():
+    # the closed T_4 and -T_3 differ term by term but agree in the quotient
+    closed, want = partial_trace(extremal(4)), extremal(3).scale(MINUS_ONE)
+    assert closed != want
+    assert ess_equal(closed, want)
 
 
 def test_ess_equal_winding():

@@ -1,5 +1,6 @@
 """Annular diagram encoding, composition, and the morphism layer."""
 
+import copy
 import os
 import pickle
 import random
@@ -520,6 +521,49 @@ def test_diagram_interning():
     a = only_diagram(gen_u(3, 1) * gen_u(3, 2))
     b = only_diagram(gen_u(3, 1) * gen_u(3, 2))
     assert a is b
+
+
+def _contract_diagrams() -> list:
+    """The diagrams of `projector_family()` and of seeded wound words."""
+    family = [d for x in projector_family() for d in x.terms]
+    return family + wound_diagrams(random.Random(20261020), 60, 30)
+
+
+def test_every_rebuild_returns_the_pooled_object():
+    # hash and == are the identity's, so each route back to a diagram must
+    # give the one object the pool holds for it
+    for d in _contract_diagrams():
+        assert _POOL[d.dom, d.cod, d.seam, d.ess, d.codes] is d
+        assert pickle.loads(pickle.dumps(d)) is d
+        assert copy.copy(d) is d and copy.deepcopy(d) is d
+        (loaded,) = Morphism.loads(Morphism.from_diagram(d).dumps()).terms
+        assert loaded is d
+        assert make_diagram(d.dom, d.cod, d.seam, d.ess, d.arcs) is d
+        assert compose(d, id_diagram(d.cod))[0] is d
+        assert compose(id_diagram(d.dom), d)[0] is d
+
+
+def test_a_live_diagram_stays_interned_across_clear_caches():
+    held, t4 = _contract_diagrams(), extremal(4)
+    clear_caches()
+    # built afresh: every memo is empty, so nothing hands back a held object
+    rebuilt, again = _contract_diagrams(), extremal(4)
+    assert again is not t4 and again == t4
+    assert len(rebuilt) == len(held)
+    assert all(a is b for a, b in zip(held + list(t4.terms), rebuilt + list(again.terms)))
+
+
+def test_a_dropped_diagram_leaves_the_pool_with_clear_caches():
+    # D^23 on five strands: 23 seam levels, which nothing else builds
+    x = gen_d(5)
+    for _ in range(22):
+        x = gen_d(5) * x
+    (d,) = x.terms
+    key = (d.dom, d.cod, d.seam, d.ess, d.codes)
+    assert d.seam == 23 and _POOL[key] is d
+    del x, d
+    clear_caches()
+    assert key not in _POOL
 
 
 def test_pickled_diagrams_are_interned_afresh():

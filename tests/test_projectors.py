@@ -1,5 +1,6 @@
 """Jones-Wenzl and extremal weight projectors, splittings, isomorphisms."""
 
+import gc
 import hashlib
 import sys
 from fractions import Fraction
@@ -446,6 +447,7 @@ def test_no_memo_escapes_clear_caches():
     tables = (diagram._POOL, diagram._IDENTITIES, diagram._GLUE, planar._factor_cache,
               planar._iota_cache, rep._phi_cache, rep._SIGN_STRINGS, rep._SHAPE_KEYS)
     assert all(tables)  # each one is in use before the clear
+    held, pooled = extremal(4), len(diagram._POOL)
     clear_caches()
     owners = [vars(mod) for name, mod in sys.modules.items() if name.split(".")[0] == "atlq"]
     owners += [vars(projectors._Diagrams), vars(projectors._Weights)]
@@ -459,4 +461,10 @@ def test_no_memo_escapes_clear_caches():
         memo.__name__ for memo in memos
     }
     assert [memo.__name__ for memo in memos if memo.cache_info().currsize] == []
-    assert [len(table) for table in tables] == [0, 0, 0, 0, 0, 0, 0, 0]
+    # the pool keeps exactly the diagrams still alive, each under its own key,
+    # and drops the rest: the steps of extremal(4) that it does not hold
+    live = {id(d): d for d in gc.get_objects() if type(d) is diagram.AnnularDiagram}
+    assert {id(d) for d in diagram._POOL.values()} == set(live) >= {id(d) for d in held.terms}
+    assert len(diagram._POOL) < pooled
+    assert all(diagram._POOL[d.dom, d.cod, d.seam, d.ess, d.codes] is d for d in live.values())
+    assert [len(table) for table in tables[1:]] == [0, 0, 0, 0, 0, 0, 0]
