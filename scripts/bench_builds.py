@@ -21,11 +21,12 @@ from tree r mod (number of trees), so drift of the machine lands on all
 of them.
 
 Per build it records the wall time of the timed call, the process's peak
-resident set size, the term count and the sha256 of the result's JSON
-(`dumps()`; for C, of the coordinates' strings).  It prints one line per
-build and the medians, then writes everything as JSON to --out, or to
-standard output without it.  A build
-whose digest differs between the trees prints MISMATCH and exits 1.
+resident set size read right after that call (the build's peak, not that
+of the JSON digest taken next), the term count and the sha256 of the
+result's JSON (`dumps()`; for C, of the coordinates' strings).  It prints
+one line per build and the medians, then writes everything as JSON to
+--out, or to standard output without it.  A build whose digest differs
+between the trees prints MISMATCH and exits 1.
 """
 
 from __future__ import annotations
@@ -57,13 +58,14 @@ else:
 start = time.perf_counter()
 x = getattr(atlq, name)(*args)
 elapsed = time.perf_counter() - start
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 if name == "coordinates":
     terms, text = sum(1 for c in x if c), json.dumps([str(c) for c in x])
 else:
     terms, text = len(x.terms), x.dumps()
 print(json.dumps({
     "time_s": elapsed,
-    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "peak_rss_mb": peak_mb,
     "terms": terms,
     "sha256": hashlib.sha256(text.encode()).hexdigest(),
 }))

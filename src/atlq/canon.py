@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from itertools import product
 
+from .config import guard
 from .diagram import AnnularDiagram, Morphism, gen_id, make_diagram
 from .planar import nested_caps, nested_cups, tensor
 from .rep import _I_POWERS, WeightMap, _phases, _strings_of_length, phi, solve_columns
@@ -120,8 +121,10 @@ def coordinates(x: Morphism) -> list:
 
     The bend is done on weights: phi(f_apply(x)) is
     (phi(x) (x) id_dom) . phi(nested_cups(dom)), summed here entry by entry,
-    and then solved against `basis_columns`.
+    and then solved against `basis_columns`.  Refuses dom + cod over the
+    strand limit before it builds the basis.
     """
+    guard(x.dom + x.cod)
     a = x.dom
     cols = phi(x).columns()
     bent = WeightMap._sum(0, a + x.cod, (

@@ -122,9 +122,9 @@ def cmd_projector(args) -> int:
         _usage_error(f"{args.kind} projectors need {least} <= M <= {limit}, got {args.m}")
     proj = build(args.m)
     if args.out == "json":
-        _emit(json.dumps(proj.to_json_obj(), indent=2), args.output)
+        _emit(proj.dumps(), args.output)
     elif args.out == "matrix":
-        _emit(json.dumps(phi(proj).to_json_obj(), indent=2), args.output)
+        _emit(phi(proj).dumps(), args.output)
     elif args.out == "svg":
         _emit(render_svg(proj), args.output)
     else:
@@ -176,13 +176,13 @@ def cmd_eval(args) -> int:
     if op == "ptrace" and wound[0]:
         _usage_error(f"cannot close a strand of {shapes}: a strand cannot be superposed over an essential circle")
     if op == "compose":
-        _emit(json.dumps((ms[0] * ms[1]).to_json_obj(), indent=2), args.output)
+        _emit((ms[0] * ms[1]).dumps(), args.output)
     elif op == "tensor":
-        _emit(json.dumps(tensor(ms[0], ms[1]).to_json_obj(), indent=2), args.output)
+        _emit(tensor(ms[0], ms[1]).dumps(), args.output)
     elif op == "ptrace":
-        _emit(json.dumps(partial_trace(ms[0]).to_json_obj(), indent=2), args.output)
+        _emit(partial_trace(ms[0]).dumps(), args.output)
     elif op == "phi":
-        _emit(json.dumps(phi(ms[0]).to_json_obj(), indent=2), args.output)
+        _emit(phi(ms[0]).dumps(), args.output)
     elif op == "coords":
         coeffs = coordinates(ms[0])
         labels = [

@@ -9,22 +9,28 @@ horizontal lines through the middle of the box.
 A morphism renders as one panel per term, laid out left to right in
 canonical term order with the coefficient printed above each panel, so
 the same morphism always produces byte-identical output.  All floating
-point coordinates are emitted with a fixed number of decimals.
+point coordinates are emitted with a fixed number of decimals.  SVG and
+TikZ format one pixel layout (`_panels`, `_arcs`); TikZ flips its y axis.
 """
 
 from __future__ import annotations
 
-from .diagram import AnnularDiagram, Morphism, _intern, _point_names
+from .diagram import AnnularDiagram, Morphism, _point_names
 
 PAD = 30.0
 CAP = 18.0
 SLOT = 40.0
 
 
-def _panel_geometry(d: AnnularDiagram) -> tuple[float, float]:
-    box_w = SLOT * max(d.dom, d.cod, 1)
-    box_h = 80.0 + 24.0 * d.seam
-    return box_w, box_h
+def _panels(m: Morphism):
+    """(caption, diagram, box width, box height) of each panel, in pixels.
+
+    A zero morphism is one empty box captioned 0, whose diagram is None.
+    """
+    if not m.terms:
+        yield "0", None, SLOT * max(m.dom, m.cod, 1), 80.0
+    for d, coeff in m.sorted_terms():
+        yield str(coeff), d, SLOT * max(d.dom, d.cod, 1), 80.0 + 24.0 * d.seam
 
 
 def _point_xy(
@@ -42,27 +48,26 @@ def _point_xy(
     return box_w, y, -1.0, 0.0
 
 
+def _arcs(d: AnnularDiagram, box_w: float, box_h: float):
+    """Each arc as a pixel Bezier (start, control, control, end) that bends inward."""
+    pull = min(0.45 * min(box_w, box_h), 60.0)
+    for a, b in d.arcs:
+        xa, ya, nxa, nya = _point_xy(d, a, box_w, box_h)
+        xb, yb, nxb, nyb = _point_xy(d, b, box_w, box_h)
+        yield (xa, ya), (xa + pull * nxa, ya + pull * nya), (xb + pull * nxb, yb + pull * nyb), (xb, yb)
+
+
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
 def render_svg(m: Morphism) -> str:
-    terms = m.sorted_terms() or [(None, None)]
     panels = []
-    x_off = 0.0
-    total_h = 0.0
-    for diag, coeff in terms:
-        if diag is None:
-            diag = _intern(m.dom, m.cod, 0, 0, ())  # an empty box, for its size
-            caption = "0"
-        else:
-            caption = str(coeff)
-        box_w, box_h = _panel_geometry(diag)
-        panel_w = box_w + 2 * PAD
-        panel_h = box_h + 2 * PAD + CAP
-        total_h = max(total_h, panel_h)
-        panels.append(_svg_panel(diag, caption, x_off, box_w, box_h, coeff is None))
-        x_off += panel_w
+    x_off = total_h = 0.0
+    for caption, d, box_w, box_h in _panels(m):
+        panels.append(_svg_panel(d, caption, x_off, box_w, box_h))
+        x_off += box_w + 2 * PAD
+        total_h = max(total_h, box_h + 2 * PAD + CAP)
     body = "\n".join(panels)
     header = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -74,12 +79,7 @@ def render_svg(m: Morphism) -> str:
 
 
 def _svg_panel(
-    d: AnnularDiagram,
-    caption: str,
-    x_off: float,
-    box_w: float,
-    box_h: float,
-    empty: bool,
+    d: AnnularDiagram | None, caption: str, x_off: float, box_w: float, box_h: float
 ) -> str:
     x0, y0 = x_off + PAD, PAD + CAP
     out = [f'<g transform="translate({_fmt(x0)},{_fmt(y0)})">']
@@ -96,16 +96,12 @@ def _svg_panel(
             f'<line x1="{_fmt(x)}" y1="0" x2="{_fmt(x)}" y2="{_fmt(box_h)}" '
             'stroke="#888" stroke-width="1" stroke-dasharray="4 3"/>'
         )
-    if not empty:
-        pull = min(0.45 * min(box_w, box_h), 60.0)
-        for a, b in d.arcs:
-            xa, ya, nxa, nya = _point_xy(d, a, box_w, box_h)
-            xb, yb, nxb, nyb = _point_xy(d, b, box_w, box_h)
+    if d is not None:
+        for (xa, ya), (xc, yc), (xe, ye), (xb, yb) in _arcs(d, box_w, box_h):
             out.append(
-                f'<path d="M {_fmt(xa)} {_fmt(ya)} C '
-                f'{_fmt(xa + pull * nxa)} {_fmt(ya + pull * nya)}, '
-                f'{_fmt(xb + pull * nxb)} {_fmt(yb + pull * nyb)}, '
-                f'{_fmt(xb)} {_fmt(yb)}" fill="none" stroke="#000" stroke-width="1.5"/>'
+                f'<path d="M {_fmt(xa)} {_fmt(ya)} C {_fmt(xc)} {_fmt(yc)}, '
+                f'{_fmt(xe)} {_fmt(ye)}, {_fmt(xb)} {_fmt(yb)}" '
+                'fill="none" stroke="#000" stroke-width="1.5"/>'
             )
         for t in range(d.ess):
             y = box_h * (t + 1) / (d.ess + 1)
@@ -131,56 +127,28 @@ def _esc(text: str) -> str:
 
 
 def render_tikz(m: Morphism) -> str:
-    """One tikzpicture; panels share the canvas, x-shifted in cm."""
-    terms = m.sorted_terms() or [(None, None)]
+    """One tikzpicture; panels share the canvas, x-shifted in cm.
+
+    Each pixel point of the SVG layout maps to cm with y flipped up.
+    """
     out = ["\\begin{tikzpicture}[line width=0.8pt]"]
     x_off = 0.0
-    for diag, coeff in terms:
-        if diag is None:
-            diag = _intern(m.dom, m.cod, 0, 0, ())  # an empty box, for its size
-            caption = "0"
-        else:
-            caption = str(coeff)
-        box_w, box_h = _panel_geometry(diag)
-        sx = lambda v: (x_off + v) / SLOT  # noqa: E731
-        sy = lambda v: (box_h - v) / SLOT  # noqa: E731
-        f = lambda v: f"{v:.3f}"  # noqa: E731
-        out.append(
-            f"\\node[anchor=south] at ({f(sx(box_w / 2))},{f(sy(0.0) + 0.15)})"
-            f" {{${caption}$}};"
-        )
-        out.append(
-            f"\\draw[gray] ({f(sx(0.0))},{f(sy(0.0))}) rectangle"
-            f" ({f(sx(box_w))},{f(sy(box_h))});"
-        )
-        out.append(
-            f"\\draw[gray,dashed] ({f(sx(0.0))},{f(sy(0.0))}) --"
-            f" ({f(sx(0.0))},{f(sy(box_h))});"
-        )
-        out.append(
-            f"\\draw[gray,dashed] ({f(sx(box_w))},{f(sy(0.0))}) --"
-            f" ({f(sx(box_w))},{f(sy(box_h))});"
-        )
-        if coeff is not None:
-            pull = min(0.45 * min(box_w, box_h), 60.0) / SLOT
-            for a, b in diag.arcs:
-                xa, ya, nxa, nya = _point_xy(diag, a, box_w, box_h)
-                xb, yb, nxb, nyb = _point_xy(diag, b, box_w, box_h)
-                out.append(
-                    f"\\draw ({f(sx(xa))},{f(sy(ya))}) .. controls"
-                    f" ({f(sx(xa) + pull * nxa)},{f(sy(ya) + pull * nya)}) and"
-                    f" ({f(sx(xb) + pull * nxb)},{f(sy(yb) + pull * nyb)}) .."
-                    f" ({f(sx(xb))},{f(sy(yb))});"
-                )
-            for t in range(diag.ess):
-                y = box_h * (t + 1) / (diag.ess + 1)
-                out.append(
-                    f"\\draw[red,dashed] ({f(sx(0.0))},{f(sy(y))}) --"
-                    f" ({f(sx(box_w))},{f(sy(y))});"
-                )
-            for p in _point_names(diag.dom, diag.cod, diag.seam):
-                x, y, _, _ = _point_xy(diag, p, box_w, box_h)
-                out.append(f"\\fill ({f(sx(x))},{f(sy(y))}) circle (1.5pt);")
+    for caption, d, box_w, box_h in _panels(m):
+        def at(x: float, y: float, x_off=x_off, box_h=box_h) -> str:
+            return f"({(x_off + x) / SLOT:.3f},{(box_h - y) / SLOT:.3f})"
+
+        out.append(f"\\node[anchor=south] at {at(box_w / 2, -6.0)} {{${caption}$}};")
+        out.append(f"\\draw[gray] {at(0.0, 0.0)} rectangle {at(box_w, box_h)};")
+        for x in (0.0, box_w):
+            out.append(f"\\draw[gray,dashed] {at(x, 0.0)} -- {at(x, box_h)};")
+        if d is not None:
+            for a, c, e, b in _arcs(d, box_w, box_h):
+                out.append(f"\\draw {at(*a)} .. controls {at(*c)} and {at(*e)} .. {at(*b)};")
+            for t in range(d.ess):
+                y = box_h * (t + 1) / (d.ess + 1)
+                out.append(f"\\draw[red,dashed] {at(0.0, y)} -- {at(box_w, y)};")
+            for p in _point_names(d.dom, d.cod, d.seam):
+                out.append(f"\\fill {at(*_point_xy(d, p, box_w, box_h)[:2])} circle (1.5pt);")
         x_off += box_w + 2 * PAD
     out.append("\\end{tikzpicture}")
     return "\n".join(out) + "\n"

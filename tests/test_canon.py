@@ -10,6 +10,7 @@ from atlq import (
     Morphism,
     WeightMap,
     canon,
+    configure,
     coordinates,
     enumerate_basis,
     ess_equal,
@@ -100,6 +101,12 @@ def test_flatten_round_trip():
 
 def test_coordinates_unit_vector():
     assert coordinates(gen_u(2, 1)) == [ZERO, ONE, ZERO, ZERO, ZERO, ZERO]
+
+
+def test_coordinates_refuse_a_basis_over_the_strand_limit():
+    with configure(max_strands=3):
+        with pytest.raises(ValueError, match="exceeds the configured limit"):
+            coordinates(gen_u(2, 1))
 
 
 def test_coordinates_linear():

@@ -1,10 +1,12 @@
 """Rendering: deterministic bytes, valid headers, all three backends."""
 
 import hashlib
+import re
 
 import pytest
 
-from atlq import Morphism, configure, crossing, extremal, gen_d, gen_id, gen_u
+from atlq import Morphism, configure, crossing, extremal, gen_cap, gen_d, gen_id, gen_u
+from atlq.diagram import _POOL
 from atlq.planar import ess_generator
 from atlq.render import render_ascii, render_svg, render_tikz
 from atlq.scalar import HALF
@@ -71,14 +73,52 @@ def test_zero_morphism_renders_a_zero_panel(renderer, caption):
 
 
 def test_renders_are_frozen():
-    # sha256 of every backend's text for the samples, a wound U_0, T_3 and
+    # sha256 of each backend's text for the samples, a wound U_0, T_3 and
     # two raw essential circles: the pictures do not depend on how a
     # diagram is stored
     xs = sample_morphisms() + [gen_d(2, 1) * gen_d(2, 1) * gen_u(2, 0), extremal(3)]
     with configure(mode="raw"):
         xs.append(ess_generator(0) * ess_generator(0))
-    digest = hashlib.sha256()
-    for x in xs:
-        for renderer in (render_svg, render_tikz, render_ascii):
+    digests = {}
+    for renderer in (render_svg, render_tikz, render_ascii):
+        digest = hashlib.sha256()
+        for x in xs:
             digest.update(renderer(x).encode())
-    assert digest.hexdigest() == "82739710fa793e2a61a2fe5498653b4e9e1fe42f35f9fa5e1903e659353d4c4e"
+        digests[renderer.__name__] = digest.hexdigest()
+    assert digests == {
+        "render_svg": "81ad43187a7cd917a0f48c989d8d396fbbb848cd1831f4afbb51d86ef238f251",
+        "render_tikz": "2073988d366a89443519614eec6b820a02646ff20f4cef79e04c9f024761585f",
+        "render_ascii": "2d4406dc7c3811d17e6b1cce3661520859fa7cdc2e9baf6819f3a6544280600d",
+    }
+
+
+_NUM = r"(-?[\d.]+)"
+_BOX = re.compile(rf"\\draw\[gray\] \({_NUM},{_NUM}\) rectangle \({_NUM},{_NUM}\);")
+_CONTROLS = re.compile(rf"controls \({_NUM},{_NUM}\) and \({_NUM},{_NUM}\)")
+
+
+@pytest.mark.parametrize("m", [gen_cap(2, 0), gen_u(3, 0)], ids=["cap", "u_3_0"])
+def test_tikz_arcs_bend_into_their_box(m):
+    # TikZ flips the SVG layout's y axis, normals included, so an arc that
+    # ends on I or O bends inward as it does in SVG
+    box = None
+    seen = 0
+    for line in render_tikz(m).splitlines():
+        if match := _BOX.search(line):
+            x0, y0, x1, y1 = map(float, match.groups())
+            box = (min(x0, x1), max(x0, x1)), (min(y0, y1), max(y0, y1))
+        if match := _CONTROLS.search(line):
+            (xlo, xhi), (ylo, yhi) = box
+            coords = list(map(float, match.groups()))
+            for x, y in zip(coords[::2], coords[1::2]):
+                assert xlo <= x <= xhi and ylo <= y <= yhi, line
+                seen += 1
+    assert seen == 2 * sum(len(d.arcs) for d in m.terms) > 0
+
+
+def test_an_empty_panel_interns_no_diagram():
+    # a zero morphism's box is sized from its shape alone
+    render_svg(Morphism.zero(2, 2))
+    render_tikz(Morphism.zero(2, 2))
+    for dom, cod, seam, _, codes in _POOL:
+        assert len(codes) == dom + cod + 2 * seam
