@@ -22,11 +22,12 @@ of them.
 
 Per build it records the wall time of the timed call, the process's peak
 resident set size read right after that call (the build's peak, not that
-of the JSON digest taken next), the term count and the sha256 of the
-result's JSON (`dumps()`; for C, of the coordinates' strings).  It prints
-one line per build and the medians, then writes everything as JSON to
---out, or to standard output without it.  A build whose digest differs
-between the trees prints MISMATCH and exits 1.
+of the JSON digest taken next), the number of phase tables in phi's memo
+and of diagrams in the pool at that moment, the term count and the
+sha256 of the result's JSON (`dumps()`; for C, of the coordinates'
+strings).  It prints one line per build and the medians, then writes
+everything as JSON to --out, or to standard output without it.  A build
+whose digest differs between the trees prints MISMATCH and exits 1.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ BUILDERS = {"T": "extremal", "H": "highest_weight", "L": "lowest_weight", "JW": 
 CHILD = """
 import hashlib, json, resource, sys, time
 import atlq
+from atlq import diagram, rep
 name, sizes = sys.argv[1], [int(a) for a in sys.argv[2:]]
 if name in ("partial_trace", "coordinates"):
     args = (atlq.extremal(sizes[0]),)
@@ -59,6 +61,7 @@ start = time.perf_counter()
 x = getattr(atlq, name)(*args)
 elapsed = time.perf_counter() - start
 peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+phi_tables, pooled = len(rep._phi_cache), len(diagram._POOL)
 if name == "coordinates":
     terms, text = sum(1 for c in x if c), json.dumps([str(c) for c in x])
 else:
@@ -66,6 +69,8 @@ else:
 print(json.dumps({
     "time_s": elapsed,
     "peak_rss_mb": peak_mb,
+    "phi_tables": phi_tables,
+    "pooled": pooled,
     "terms": terms,
     "sha256": hashlib.sha256(text.encode()).hexdigest(),
 }))
@@ -114,7 +119,8 @@ def main() -> int:
                 res = run_build(src, name, sizes)
                 runs[src][b].append(res)
                 print(f"round {r} {src} {b}: {res['time_s']:.3f} s, "
-                      f"{res['peak_rss_mb']:.1f} MB, {res['terms']} terms", flush=True)
+                      f"{res['peak_rss_mb']:.1f} MB, {res['terms']} terms, "
+                      f"{res['phi_tables']} phi tables, {res['pooled']} pooled", flush=True)
 
     ok = True
     summary = {}

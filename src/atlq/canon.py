@@ -20,12 +20,12 @@ independent oracle.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations
 
-from .config import guard
+from .config import memo
 from .diagram import AnnularDiagram, Morphism, gen_id, make_diagram
 from .planar import nested_caps, nested_cups, tensor
-from .rep import _I_POWERS, WeightMap, _phases, _strings_of_length, phi, solve_columns
+from .rep import _I_POWERS, WeightMap, _phase_table, _phi_cache, _strings_of_length, phi, solve_columns
 
 LabelString = str
 
@@ -75,22 +75,38 @@ def labels_from_matching(d: AnnularDiagram) -> LabelString:
     """Inverse of matching_from_labels on canonical 0 -> 2n diagrams."""
     if d.dom != 0:
         raise ValueError("labels are defined for diagrams out of 0")
+    if d.ess:
+        raise ValueError("a diagram with an essential circle has no labels")
     # O_j is code j; its partner is an earlier O or an L point where the
     # strand comes back, else a later O or an R point
     n = d.cod
     return "".join(["o" if p < j or n <= p < n + d.seam else "i" for j, p in enumerate(d.codes[:n])])
 
 
-def enumerate_basis(n_points: int) -> list[AnnularDiagram]:
-    """All C(2n, n) basis diagrams of hom(0, n_points), in label order."""
+@memo(lambda n_points: n_points)
+def _basis(n_points: int) -> tuple[AnnularDiagram, ...]:
+    """The basis of hom(0, n_points), built once per size under the strand guard.
+
+    The positions of the "i"s run through `combinations` in lexicographic
+    order, which is the label order, as "i" < "o".
+    """
     if n_points % 2:
         raise ValueError("odd point count has no perfect matchings")
-    half = n_points // 2
     out = []
-    for bits in product("io", repeat=n_points):
-        if bits.count("i") == half:
-            out.append(matching_from_labels("".join(bits)))
-    return out
+    for ins in combinations(range(n_points), n_points // 2):
+        labels = ["o"] * n_points
+        for k in ins:
+            labels[k] = "i"
+        out.append(matching_from_labels("".join(labels)))
+    return tuple(out)
+
+
+def enumerate_basis(n_points: int) -> list[AnnularDiagram]:
+    """All C(2n, n) basis diagrams of hom(0, n_points), in label order.
+
+    Refuses a point count over the strand limit.
+    """
+    return list(_basis(n_points))
 
 
 def f_apply(x: Morphism) -> Morphism:
@@ -110,10 +126,12 @@ def basis_columns(n_points: int) -> list[dict]:
     """The weight vectors of the basis diagrams of hom(0, n_points), in label order.
 
     Each is read off the diagram's phase table, whose one column is "", so
-    a mask there is the row's.
+    a mask there is the row's.  A table that phi has kept is read from
+    `_phi_cache`; the others are built and not kept.
     """
+    basis = _basis(n_points)
     rows = _strings_of_length(n_points)
-    return [{rows[mask]: _I_POWERS[k] for mask, k in _phases(b)} for b in enumerate_basis(n_points)]
+    return [{rows[mask]: _I_POWERS[k] for mask, k in _phi_cache.get(b) or _phase_table(b)} for b in basis]
 
 
 def coordinates(x: Morphism) -> list:
@@ -121,18 +139,18 @@ def coordinates(x: Morphism) -> list:
 
     The bend is done on weights: phi(f_apply(x)) is
     (phi(x) (x) id_dom) . phi(nested_cups(dom)), summed here entry by entry,
-    and then solved against `basis_columns`.  Refuses dom + cod over the
-    strand limit before it builds the basis.
+    and then solved against `basis_columns`, which refuses dom + cod over
+    the strand limit before anything else is built.
     """
-    guard(x.dom + x.cod)
     a = x.dom
+    basis = basis_columns(a + x.cod)
     cols = phi(x).columns()
     bent = WeightMap._sum(0, a + x.cod, (
         ((r + s[a:], ""), v * w)
         for (s, _), w in phi(nested_cups(a)).entries.items()
         for r, v in cols.get(s[:a], {}).items()
     ))
-    coeffs = solve_columns(basis_columns(a + x.cod), bent.columns().get("", {}))
+    coeffs = solve_columns(basis, bent.columns().get("", {}))
     if coeffs is None:
         raise ValueError("morphism does not lie in the diagram span")
     return coeffs

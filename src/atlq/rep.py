@@ -43,10 +43,15 @@ Each diagram's table of (mask, k) pairs is built once, on ints: an
 orientation of all strands is a sign mask over the I and O points, with
 the column's bits above the row's, and the list of masks doubles once
 per strand and is sorted, which puts the entries in (column, row) order.
-The tables hold no strings.
+The tables hold no strings.  `phi` keeps each table it builds in
+`_phi_cache`; `canon.basis_columns` reads a kept table but keeps none
+that it builds, as a basis of C(2n, n) diagrams would fill the memo.
 
-`phi` scales every coefficient of its operand to one common denominator
-den and packs each of its four turns c * i^k, numerators re + im*i, into
+`phi` reads a one-term operand c * d straight off d's table: a table
+holds each mask once, so each entry is c * i^k, one of four values shared
+by all entries, and no sum is formed.  An operand of several terms is
+folded.  `phi` scales every coefficient to one common denominator den and
+packs each of its four turns c * i^k, numerators re + im*i, into
 the one int re + (im << K).  Each table entry then adds one int to the
 sum at its mask.  K is the bit length of B = den * sum(|a| + |b|) over
 the operand's coefficients (a + b*i)/d, plus 2.  A table holds each mask
@@ -254,8 +259,8 @@ def _strings_of_length(n: int) -> _SignStrings:
 class _ShapeKeys(dict):
     """The (row, col) key of each sign mask of an m -> n weight map, made on first use.
 
-    The mask holds the column's m bits above the row's n bits, as `_phases`
-    writes them.
+    The mask holds the column's m bits above the row's n bits, as
+    `_phase_table` writes them.
     """
 
     __slots__ = ("rows", "cols", "n", "low")
@@ -286,6 +291,14 @@ CACHE_CLEARS.append(_phi_cache.clear)
 
 
 def _phases(d: AnnularDiagram) -> tuple[tuple[int, int], ...]:
+    """d's phase table from `_phi_cache`, built and stored on first use."""
+    table = _phi_cache.get(d)
+    if table is None:
+        table = _phi_cache[d] = _phase_table(d)
+    return table
+
+
+def _phase_table(d: AnnularDiagram) -> tuple[tuple[int, int], ...]:
     """The (mask, k) pairs of d's weight map, whose entries are i^k.
 
     An orientation of all strands is one int.  Bit shift + top - p is set
@@ -296,30 +309,34 @@ def _phases(d: AnnularDiagram) -> tuple[tuple[int, int], ...]:
     (column, row) order, as `columns()` and `rank()` read them; `_shape_keys`
     names each mask's (row, col).
     """
-    table = _phi_cache.get(d)
-    if table is not None:
-        return table
-    entries = []
-    if not d.ess:
-        m = d.dom
-        top = m + d.cod - 1
-        shift = (5 * len(d.codes)).bit_length()
-        keyed = [0]
-        for a, b, fwd, bwd in _strands(d):
-            # forward runs a -> b, backward b -> a; each flips both ends
-            bit_a, bit_b = 1 << top - a, 1 << top - b
-            f = (bit_a if a >= m else 0) | (bit_b if b < m else 0)
-            g = (f ^ bit_a ^ bit_b) << shift
-            f <<= shift
-            keyed = [(v | f) + fwd for v in keyed] + [(v | g) + bwd for v in keyed]
-        keyed.sort()
-        entries = [(v >> shift, v & 3) for v in keyed]
-    table = _phi_cache[d] = tuple(entries)
-    return table
+    if d.ess:
+        return ()
+    m = d.dom
+    top = m + d.cod - 1
+    shift = (5 * len(d.codes)).bit_length()
+    keyed = [0]
+    for a, b, fwd, bwd in _strands(d):
+        # forward runs a -> b, backward b -> a; each flips both ends
+        bit_a, bit_b = 1 << top - a, 1 << top - b
+        f = (bit_a if a >= m else 0) | (bit_b if b < m else 0)
+        g = (f ^ bit_a ^ bit_b) << shift
+        f <<= shift
+        keyed = [(v | f) + fwd for v in keyed] + [(v | g) + bwd for v in keyed]
+    keyed.sort()
+    return tuple([(v >> shift, v & 3) for v in keyed])
 
 
 def phi(x: Morphism) -> WeightMap:
-    # one denominator, and each sum packed in one int (module docstring)
+    """The weight map of x (module docstring).
+
+    A one-term operand c * d reads its entries c * i^k straight off d's
+    phase table; any other is folded, each sum packed in one int.
+    """
+    keys = _shape_keys(x.dom, x.cod)
+    if len(x.terms) == 1:
+        ((d, c),) = x.terms.items()
+        turned = (c, c * I, -c, c * MINUS_I)
+        return WeightMap._checked(x.dom, x.cod, {keys[mask]: turned[k] for mask, k in _phases(d)})
     coeffs = x.terms.values()
     den = lcm(*(c.d for c in coeffs))
     K = (sum(abs(c.a) + abs(c.b) for c in coeffs) * den).bit_length() + 2
@@ -333,7 +350,7 @@ def phi(x: Morphism) -> WeightMap:
         turned = (p0, p1, -p0, -p1)
         for mask, k in _phases(d):
             acc[mask] = get(mask, 0) + turned[k]
-    keys, half = _shape_keys(x.dom, x.cod), 1 << K - 1
+    half = 1 << K - 1
     entries = {}
     for mask, p in acc.items():
         if p:

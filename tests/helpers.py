@@ -4,10 +4,10 @@ Everything here takes an explicit random.Random so failures reproduce
 from the seed alone.  `reference_compose` is the dict-based diagram
 composition that the int-coded `diagram.compose` replaced, and
 `reference_phi_diagram` the word-based weight functor that the strand
-tracing of `rep._phases` replaced.  `reference_phases` is the
-product over strand orientations that built the tables of `rep._phases`
-before they were built from sign masks, and `reference_phase_map` reads
-one diagram's weight map off it.  `reference_phi` folds each sum of
+tracing of `rep._phase_table` replaced.  `reference_phases` is the
+product over strand orientations that built those tables before they
+were built from sign masks, and `reference_phase_map` reads one
+diagram's weight map off it.  `reference_phi` folds each sum of
 `rep.phi` as a list of two numerators and a denominator per (row, col)
 key, as the engine did before it packed each sum into one int keyed by
 its sign mask.  `reference_mor_compose` and
@@ -28,7 +28,9 @@ engine did before it went through T_m (x) T_n and the junction cap.
 `reference_partial_trace` closes the last strand by splicing seam-free
 operands in place and by cap . iota(x) . cup otherwise, as the engine
 did before it closed the cup and the cap on the states of the strand
-walk.  All are kept as test oracles.
+walk.  `reference_basis` filters all 2^(2n) label strings for the
+balanced ones, as `enumerate_basis` did before it ran through the
+positions of the "i"s.  All are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from atlq import (
     nested_cups,
     tensor,
 )
+from atlq.canon import matching_from_labels
 from atlq.config import MODE_QUOTIENT, get_config
 from atlq.diagram import AnnularDiagram, Arc, Point, _KIND_ORDER, _intern, compose, make_diagram, point_key
 from atlq.rep import _I_POWERS, WeightMap, _strands, sign_strings
@@ -152,6 +155,16 @@ def reference_inputs(mode: str) -> list:
     return sorted(diagrams, key=lambda d: (
         d.dom, d.cod, d.seam, d.ess, [(point_key(p), point_key(q)) for p, q in d.arcs]
     ))
+
+
+def reference_basis(n_points: int) -> list[AnnularDiagram]:
+    """The basis of hom(0, n_points), filtered out of every {i, o} string in order."""
+    half = n_points // 2
+    return [
+        matching_from_labels("".join(bits))
+        for bits in product("io", repeat=n_points)
+        if bits.count("i") == half
+    ]
 
 
 def wound_diagrams(rng: random.Random, count: int, length: int) -> list[AnnularDiagram]:

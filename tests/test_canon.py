@@ -10,6 +10,7 @@ from atlq import (
     Morphism,
     WeightMap,
     canon,
+    clear_caches,
     configure,
     coordinates,
     enumerate_basis,
@@ -30,7 +31,9 @@ from atlq import (
     phi_chain,
     tensor,
 )
+from atlq import rep
 from atlq.canon import basis_columns, labels_from_matching, matching_from_labels
+from atlq.diagram import make_diagram
 from atlq.rep import extremal_matrix, rank_of_columns, solve_columns
 from atlq.scalar import HALF, MINUS_ONE, ONE, TWO, ZERO
 
@@ -39,6 +42,7 @@ from helpers import (
     projector_family,
     random_single_diagram,
     random_word,
+    reference_basis,
     reference_phase_map,
 )
 
@@ -68,6 +72,26 @@ def test_label_round_trip_exhaustive():
             assert matching_from_labels(labels_from_matching(d)) is d
 
 
+def test_labels_refuse_an_essential_circle():
+    # the circle-free diagram of this arc has the labels "io"
+    d = make_diagram(0, 2, 0, 1, [(("O", 0), ("O", 1))])
+    with pytest.raises(ValueError, match="essential circle"):
+        labels_from_matching(d)
+
+
+def test_enumerate_basis_matches_the_label_filter():
+    for n_points in range(0, 13, 2):
+        assert enumerate_basis(n_points) == reference_basis(n_points)
+
+
+def test_enumerate_basis_returns_a_fresh_list():
+    basis = enumerate_basis(6)
+    want = list(basis)
+    basis.reverse()
+    basis.pop()
+    assert enumerate_basis(6) == want
+
+
 def test_enumerate_basis_is_frozen():
     # sha256 of the JSON of every basis diagram of hom(0, 2n), n <= 6, taken
     # when labels were matched by rescanning for an adjacent "i" "o" pair
@@ -81,6 +105,46 @@ def test_basis_counts():
     assert [len(enumerate_basis(k)) for k in (0, 2, 4, 6)] == [1, 2, 6, 20]
     with pytest.raises(ValueError):
         enumerate_basis(3)
+
+
+def test_enumerate_basis_refuses_a_count_over_the_strand_limit():
+    with configure(max_strands=6):
+        assert len(enumerate_basis(6)) == 20
+        with pytest.raises(ValueError, match="8 strands exceeds the configured limit of 6"):
+            enumerate_basis(8)
+        for bad in (3, 5, -1, -2):
+            with pytest.raises(ValueError):
+                enumerate_basis(bad)
+
+
+def test_basis_columns_keep_no_phase_tables():
+    clear_caches()
+    cold = basis_columns(8)
+    assert not rep._phi_cache
+    for b in enumerate_basis(8):
+        phi(Morphism.from_diagram(b))
+    assert len(rep._phi_cache) == 70
+    warm = basis_columns(8)
+    assert [list(col.items()) for col in warm] == [list(col.items()) for col in cold]
+
+
+_UNITS = {(1, 0), (-1, 0), (0, 1), (0, -1)}
+
+
+def test_basis_pivots_follow_the_labels():
+    # eliminated in label order, the basis column labelled L pivots at the
+    # row L with i -> + and o -> -, on a unit times 2^seam, and every
+    # normalized pivot entry is a unit, so no pivot has a denominator
+    to_signs = str.maketrans("io", "+-")
+    for n_points in range(0, 11, 2):
+        basis = enumerate_basis(n_points)
+        pivots = rep._eliminate(basis_columns(n_points))
+        assert len(pivots) == len(basis)
+        for b, (prow, pden, entries, _, (a, bi, den)) in zip(basis, pivots):
+            assert prow == labels_from_matching(b).translate(to_signs)
+            assert pden == 1
+            assert all((x, y) in _UNITS for _, x, y in entries)
+            assert (a, bi) in {(u * den << b.seam, v * den << b.seam) for u, v in _UNITS}
 
 
 def test_basis_images_independent():

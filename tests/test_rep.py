@@ -195,9 +195,11 @@ def _packing_edge_cases(mode: str) -> list:
         t5.scale(big),
         t5 - t5.scale(I),
         Morphism.zero(2, 2),
-        # one term scaled by a power of two: its entries reach the bound B
+        # one term scaled by a power of two, read off its table
         gen_u(3, 1).scale(2**70),
         gen_d(2, 1).scale(GaussianRational(-(2**40), 1)),
+        # two terms whose diagonal sums reach the bound B = 2^71
+        gen_id(3).scale(2**70) - gen_u(3, 1).scale(2**70),
     ]
     # negative real parts against positive imaginary ones, past 2^64, over
     # mixed denominators
@@ -227,6 +229,21 @@ def test_phi_packed_fold_is_exact(mode):
     # T_5's 9,312 entry updates leave 2 entries
     assert len(phi(extremal(5)).entries) == 2
     assert all(x.terms and phi(x).is_zero() for x in cases[-2:])
+
+
+@pytest.mark.parametrize("mode", ["quotient", "raw"])
+def test_phi_of_one_term_matches_the_fold(mode):
+    # a one-term operand is read off its phase table, not folded
+    coeffs = [ONE, I, GaussianRational(Fraction(-1, 3), 2), GaussianRational(Fraction(5, 7))]
+    pool = reference_inputs(mode)
+    if mode == "raw":
+        assert any(d.ess for d in pool)
+    for d in pool:
+        for c in coeffs:
+            x = Morphism.from_diagram(d, c)
+            got = phi(x)
+            assert list(got.entries.items()) == list(reference_phi(x).entries.items())
+            assert got.is_zero() == bool(d.ess)
 
 
 @pytest.mark.parametrize("mode", ["quotient", "raw"])

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from atlq import projectors, verify
+from atlq import configure, projectors, verify
 from atlq.diagram import gen_u
 from atlq.rep import extremal_matrix, phi
 from atlq.verify import SUITES, run_suite
@@ -101,6 +101,18 @@ def test_raising_basis_gives_a_fail_line(monkeypatch):
     assert lines[0] == ("FAIL  [faithfulness] phi keeps the C(2,1) basis diagrams "
                         "independent :: RuntimeError: boom")
     assert all(l.startswith("PASS") for l in lines[1:])
+
+
+def test_faithfulness_refuses_a_basis_over_the_strand_limit():
+    with configure(max_strands=6):
+        ok, lines = run_suite("faithfulness", 5)
+    assert not ok
+    fails = [l for l in lines if l.startswith("FAIL")]
+    assert fails == [
+        f"FAIL  [faithfulness] phi keeps the C({2 * n},{n}) basis diagrams independent :: "
+        f"ValueError: {2 * n} strands exceeds the configured limit of 6"
+        for n in (4, 5)
+    ]
 
 
 def test_unknown_suite_is_refused():
