@@ -22,8 +22,9 @@ of them.
 
 Per build it records the wall time of the timed call, the process's peak
 resident set size read right after that call (the build's peak, not that
-of the JSON digest taken next), the number of phase tables in phi's memo
-and of diagrams in the pool at that moment, the term count and the
+of the JSON digest taken next), the number of phase tables in phi's memo,
+of diagrams in the pool and of hits and misses of the `compose` memo at
+that moment, the term count and the
 sha256 of the result's JSON (`dumps()`; for C, of the coordinates'
 strings).  It prints one line per build and the medians, then writes
 everything as JSON to --out, or to standard output without it.  A build
@@ -62,6 +63,7 @@ x = getattr(atlq, name)(*args)
 elapsed = time.perf_counter() - start
 peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 phi_tables, pooled = len(rep._phi_cache), len(diagram._POOL)
+hits, misses = diagram.compose.cache_info()[:2]
 if name == "coordinates":
     terms, text = sum(1 for c in x if c), json.dumps([str(c) for c in x])
 else:
@@ -71,6 +73,8 @@ print(json.dumps({
     "peak_rss_mb": peak_mb,
     "phi_tables": phi_tables,
     "pooled": pooled,
+    "compose_hits": hits,
+    "compose_misses": misses,
     "terms": terms,
     "sha256": hashlib.sha256(text.encode()).hexdigest(),
 }))
@@ -120,7 +124,9 @@ def main() -> int:
                 runs[src][b].append(res)
                 print(f"round {r} {src} {b}: {res['time_s']:.3f} s, "
                       f"{res['peak_rss_mb']:.1f} MB, {res['terms']} terms, "
-                      f"{res['phi_tables']} phi tables, {res['pooled']} pooled", flush=True)
+                      f"{res['phi_tables']} phi tables, {res['pooled']} pooled, "
+                      f"compose {res['compose_hits']} hits / {res['compose_misses']} misses",
+                      flush=True)
 
     ok = True
     summary = {}

@@ -140,11 +140,16 @@ def coordinates(x: Morphism) -> list:
     The bend is done on weights: phi(f_apply(x)) is
     (phi(x) (x) id_dom) . phi(nested_cups(dom)), summed here entry by entry,
     and then solved against `basis_columns`, which refuses dom + cod over
-    the strand limit before anything else is built.
+    the strand limit before anything else is built.  The phase tables
+    that phi(x) builds for x's terms are dropped again; those kept before
+    stay.
     """
     a = x.dom
     basis = basis_columns(a + x.cod)
+    fresh = [d for d in x.terms if d not in _phi_cache]
     cols = phi(x).columns()
+    for d in fresh:
+        del _phi_cache[d]
     bent = WeightMap._sum(0, a + x.cod, (
         ((r + s[a:], ""), v * w)
         for (s, _), w in phi(nested_cups(a)).entries.items()

@@ -335,12 +335,17 @@ def compose(inner: AnnularDiagram, outer: AnnularDiagram):
     table turns both partner codes into glued codes at once, which reads
     off every strand that misses the middle circle.  The rest are traced
     from each middle point not yet walked, in both directions, to their
-    two boundary ends or around a closed loop.
+    two boundary ends or around a closed loop.  With a generator on
+    either side, `_compose_generator` rewrites the other code instead.
     """
     if inner.cod != outer.dom:
         raise ValueError(
             f"cannot glue: inner codomain {inner.cod} != outer domain {outer.dom}"
         )
+    if inner in _GENERATORS:
+        return _compose_generator(inner, outer, True)
+    if outer in _GENERATORS:
+        return _compose_generator(outer, inner, False)
     m, mid, n, ka, kb = inner.dom, inner.cod, outer.cod, inner.seam, outer.seam
     ta, tb, pick = _GLUE.get((m, mid, n, ka, kb)) or _glue_tables(m, mid, n, ka, kb)
     glued = list(map(ta.__getitem__, inner.codes))
@@ -408,6 +413,81 @@ def _canonical(partner: list[int], m: int, n: int, k: int, levels: list[int], es
     return _intern(m, n, seam, ess, tuple(partner)), iness, ess
 
 
+# the U_i (i >= 1), caps, cups and D^+-1 that their constructors built: on
+# the middle circle each joins at most one pair of points, and runs the
+# others straight to its far side or its seam
+_GENERATORS: set[AnnularDiagram] = set()
+# (generator, is it inner, the other diagram's far size and seam) -> the
+# tables by which `_compose_generator` rewrites the other diagram's code
+_GEN: dict[tuple, tuple] = {}
+CACHE_CLEARS.extend((_GENERATORS.clear, _GEN.clear))
+
+
+def _generator_tables(g: AnnularDiagram, on_inner: bool, size: int, k: int):
+    mid, ks = (g.cod if on_inner else g.dom), k + g.seam
+    m, n = (g.dom, size) if on_inner else (size, g.cod)
+    lo, ro = m + n, m + n + ks
+
+    def ends(dom, cod, seam, inner, off):
+        # the composite's code of each point of a diagram, ~j for M_j
+        far, middle = range(dom) if inner else range(m, m + cod), [~j for j in range(mid)]
+        block = [*far, *middle] if inner else [*middle, *far]
+        return block + [*range(lo + off, lo + off + seam), *range(ro + off, ro + off + seam)]
+
+    ge = ends(g.dom, g.cod, g.seam, on_inner, 0 if on_inner else k)
+    rel = ends(*((mid, size) if on_inner else (size, mid)), k, not on_inner, g.seam if on_inner else 0)
+    gm, xm = (g.dom, 0) if on_inner else (0, size)  # the codes of M_0 in g and in x
+    for j in range(mid):
+        # x's M_j takes the code of the far end of g's strand through it
+        rel[xm + j] = ge[g.codes[gm + j]]
+    turn = [c for c in range(xm, xm + mid) if rel[c] < 0]
+    # g's own arcs off the middle follow x's codes in the entries
+    fixed = [(ge[c], ge[p]) for c, p in enumerate(g.codes) if ge[c] >= 0 and ge[p] >= 0]
+    src = [0] * (ro + ks)  # the entry of each code of the composite
+    for e, r in enumerate(rel + [r for r, _ in fixed]):
+        if r >= 0:
+            src[r] = e
+    pick = itemgetter(*src) if src else lambda entries: ()
+    gseam = ge[len(ge) - 2 * g.seam:]  # g's own seam points
+    _GEN[g, on_inner, size, k] = tables = (rel, [p for _, p in fixed], pick, turn, gseam, m, n, ks)
+    return tables
+
+
+def _compose_generator(g: AnnularDiagram, x: AnnularDiagram, on_inner: bool):
+    """`compose` with a registered generator g on one side.
+
+    The other diagram x keeps its code, shifted through a per-shape table,
+    but a middle point takes the code of the far end of g's strand through
+    it.  A pair of middle points that g joins joins their partners in x, or
+    closes an inessential circle.  x is canonical, so only a join of two
+    seam points, or a seam point of g's matched to another seam point, can
+    make the result reducible: then `_canonical` runs.
+    """
+    key = (g, on_inner, x.cod if on_inner else x.dom, x.seam)
+    rel, tail, pick, turn, gseam, m, n, k = _GEN.get(key) or _generator_tables(*key)
+    partner = pick([*map(rel.__getitem__, x.codes), *tail])
+    iness, reduce = 0, False
+    for c in gseam:
+        reduce = reduce or partner[c] >= m + n  # D^+-1 only
+    if turn:
+        p, q = x.codes[turn[0]], x.codes[turn[1]]
+        if p == turn[1]:
+            iness = 1
+        else:
+            p, q = rel[p], rel[q]
+            partner = list(partner)
+            partner[p], partner[q] = q, p
+            reduce = p >= m + n and q >= m + n
+    if reduce:
+        return _canonical(list(partner), m, n, k, list(range(k)), x.ess, iness)
+    return _intern(m, n, k, x.ess, tuple(partner)), iness, x.ess
+
+
+def _generator(d: AnnularDiagram) -> AnnularDiagram:
+    _GENERATORS.add(d)
+    return d
+
+
 # -- diagram constructors -------------------------------------------------
 
 
@@ -423,7 +503,7 @@ def u_diagram(n: int, i: int) -> AnnularDiagram:
         raise ValueError(f"U_{i} undefined on {n} strands")
     arcs = [(("I", i - 1), ("I", i)), (("O", i - 1), ("O", i))]
     arcs += [(("I", j), ("O", j)) for j in range(n) if j not in (i - 1, i)]
-    return make_diagram(n, n, 0, 0, arcs)
+    return _generator(make_diagram(n, n, 0, 0, arcs))
 
 
 @memo(lambda n, *_: n)
@@ -448,7 +528,7 @@ def cap_diagram(n: int, i: int) -> AnnularDiagram:
         raise ValueError(f"cap at {i} undefined on {n} strands")
     arcs = [(("I", i), ("I", i + 1))]
     arcs += [(("I", j), ("O", j if j < i else j - 2)) for j in range(n) if j not in (i, i + 1)]
-    return make_diagram(n, n - 2, 0, 0, arcs)
+    return _generator(make_diagram(n, n - 2, 0, 0, arcs))
 
 
 @memo(lambda n, i: n + 2)
@@ -458,7 +538,7 @@ def cup_diagram(n: int, i: int) -> AnnularDiagram:
         raise ValueError(f"cup at {i} undefined on {n} strands")
     arcs = [(("O", i), ("O", i + 1))]
     arcs += [(("I", j), ("O", j if j < i else j + 2)) for j in range(n)]
-    return make_diagram(n, n + 2, 0, 0, arcs)
+    return _generator(make_diagram(n, n + 2, 0, 0, arcs))
 
 
 @memo(lambda n, *_: n)
@@ -474,7 +554,7 @@ def d_diagram(n: int, e: int = 1) -> AnnularDiagram:
     else:
         arcs = [(("I", n - 1), ("R", 0)), (("L", 0), ("O", 0))]
         arcs += [(("I", j), ("O", j + 1)) for j in range(n - 1)]
-    return make_diagram(n, n, 1, 0, arcs)
+    return _generator(make_diagram(n, n, 1, 0, arcs))
 
 
 # -- morphisms ------------------------------------------------------------

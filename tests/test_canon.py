@@ -180,6 +180,28 @@ def test_coordinates_linear():
     assert coordinates(x) == [a * HALF + b for a, b in zip(cu, cd)]
 
 
+def test_coordinates_keep_only_the_phase_tables_kept_before():
+    # the tables that phi(x) builds for x's terms are dropped again, and
+    # those already kept stay, as the same objects
+    clear_caches()
+    x = extremal(4) + jones_wenzl(4)
+    cold = coordinates(x)
+    assert not any(d in rep._phi_cache for d in x.terms)
+    phi(x)
+    kept = {d: rep._phi_cache[d] for d in x.terms}
+    assert coordinates(x) == cold
+    assert {d: rep._phi_cache[d] for d in x.terms} == kept
+    assert all(rep._phi_cache[d] is table for d, table in kept.items())
+    # a one-term operand, cold and warm
+    clear_caches()
+    (d,) = gen_u(4, 2).terms
+    assert d not in rep._phi_cache
+    cold = coordinates(gen_u(4, 2))
+    assert d not in rep._phi_cache
+    phi(gen_u(4, 2))
+    assert coordinates(gen_u(4, 2)) == cold and d in rep._phi_cache
+
+
 def _weight_columns(n: int) -> list[dict]:
     """The basis weight vectors through `reference_phase_map` and `columns()`."""
     return [reference_phase_map(b).columns().get("", {}) for b in enumerate_basis(n)]

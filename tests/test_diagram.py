@@ -39,6 +39,7 @@ from atlq.diagram import (
     id_diagram,
     make_diagram,
     u0_diagram,
+    u_diagram,
 )
 from atlq.scalar import HALF, MINUS_TWO, ONE
 
@@ -193,6 +194,88 @@ def test_compose_matches_reference(mode):
     with pytest.raises(ValueError) as want_err:
         reference_compose(only_diagram(inner), only_diagram(outer))
     assert str(got_err.value) == str(want_err.value)
+
+
+def _generators(arities) -> list:
+    """Every U_i (i >= 1), cap, cup and D^+-1 from or to the given arities."""
+    gens = []
+    for n in arities:
+        gens += [u_diagram(n, i) for i in range(1, n)] + [cap_diagram(n, i) for i in range(n - 1)]
+        gens += [cup_diagram(n - 2, i) for i in range(n - 1)] + [d_diagram(n, e) for e in (1, -1) if n]
+    return gens
+
+
+@pytest.mark.parametrize("mode", ["quotient", "raw"])
+def test_generator_kernel_matches_glue_and_reference(mode, monkeypatch):
+    # every generator at every index of arities 0..8, as the inner and as
+    # the outer diagram, against the glue route and the dict-based oracle
+    with configure(mode=mode):
+        pool = reference_inputs(mode)
+        if mode == "quotient":
+            pool += wound_diagrams(random.Random(20261021), 200, 40)
+        gens = _generators(range(9))
+        pairs = [(g, x) for g in gens for x in pool if g.cod == x.dom]
+        pairs += [(x, g) for g in gens for x in pool if x.cod == g.dom]
+        kernel = [compose.__wrapped__(inner, outer) for inner, outer in pairs]
+        monkeypatch.setattr(diagram, "_GENERATORS", set())
+        for (inner, outer), got in zip(pairs, kernel):
+            want = reference_compose(inner, outer)
+            assert got[0] is want[0] and got[1:] == want[1:]
+            assert compose.__wrapped__(inner, outer) == got
+    shapes = {(inner.dom, outer.cod) for inner, outer in pairs}
+    assert {(1, 1), (2, 0), (0, 2)} <= shapes and max(max(s) for s in shapes) == 8
+    assert any(d_diagram(1, -1) in pair for pair in pairs)
+    # a turnback that closes a circle, and one that joins two seam points
+    # into a reducible arc (D^+-1 on a seam-free diagram never reduces)
+    assert any(got[1] for got in kernel)
+    assert any(got[0].seam < inner.seam + outer.seam
+               for (inner, outer), got in zip(pairs, kernel) if 0 in (inner.seam, outer.seam))
+
+
+def _triples(g, xs) -> list:
+    """compose(g, x) and compose(x, g) over xs, with each diagram as its pool key."""
+    got = [compose(g, x) for x in xs if x.dom == g.cod] + [compose(x, g) for x in xs if x.cod == g.dom]
+    return [((d.dom, d.cod, d.seam, d.ess, d.codes), iness, ess) for d, iness, ess in got]
+
+
+def test_generator_kernel_ignores_how_the_generator_entered_the_pool():
+    # a generator pooled before its constructor ran, or held across
+    # clear_caches, is glued as any diagram until the constructor registers it
+    builds = [(u_diagram, 5, 3), (u_diagram, 2, 1), (cap_diagram, 5, 2), (cup_diagram, 3, 1),
+              (d_diagram, 5, -1), (d_diagram, 1, -1)]
+    xs = wound_diagrams(random.Random(20261022), 80, 30)
+    for build, n, i in builds:
+        build(n, i)
+    xs = [x for x in xs if x not in diagram._GENERATORS]
+    routes = {
+        "make_diagram": lambda n, i, spec, text: make_diagram(*spec),
+        "loads": lambda n, i, spec, text: only_diagram(Morphism.loads(text)),
+        # U_i as cap_{i-1} followed by cup_{i-1}
+        "product": lambda n, i, spec, text: compose(cap_diagram(n, i - 1), cup_diagram(n - 2, i - 1))[0],
+        "held": None,
+    }
+    fresh = 0
+    for build, n, i in builds:
+        for route, enter in routes.items():
+            if route == "product" and build is not u_diagram:
+                continue
+            g = build(n, i)
+            key, spec = (g.dom, g.cod, g.seam, g.ess, g.codes), (g.dom, g.cod, g.seam, g.ess, g.arcs)
+            text, want = Morphism.from_diagram(g).dumps(), _triples(g, xs)
+            if enter is not None:
+                del g
+                clear_caches()
+                # another test module may hold the same diagram alive
+                fresh += key not in _POOL
+                g = enter(n, i, spec, text)
+            else:
+                clear_caches()
+            assert g not in diagram._GENERATORS
+            assert _triples(g, xs) == want
+            assert build(n, i) is g and g in diagram._GENERATORS
+            compose.cache_clear()
+            assert _triples(g, xs) == want
+    assert fresh >= 10
 
 
 def _code_of_arcs(d) -> tuple:

@@ -444,8 +444,9 @@ def test_results_survive_clear_caches(monkeypatch):
 
 def test_no_memo_escapes_clear_caches():
     extremal(3), phi_extremal(3), weight_tensor(2, 1), WEIGHTS.split(2, 1), cheb_l(4)
-    tables = (diagram._POOL, diagram._IDENTITIES, diagram._GLUE, planar._factor_cache,
-              planar._iota_cache, rep._phi_cache, rep._SIGN_STRINGS, rep._SHAPE_KEYS)
+    gen_u(2, 0) * gen_u(2, 0)  # U_0 is glued, not rewritten by the generator kernel
+    tables = (diagram._POOL, diagram._IDENTITIES, diagram._GLUE, diagram._GENERATORS, diagram._GEN,
+              planar._factor_cache, planar._iota_cache, rep._phi_cache, rep._SIGN_STRINGS, rep._SHAPE_KEYS)
     assert all(tables)  # each one is in use before the clear
     held, pooled = extremal(4), len(diagram._POOL)
     clear_caches()
@@ -467,4 +468,4 @@ def test_no_memo_escapes_clear_caches():
     assert {id(d) for d in diagram._POOL.values()} == set(live) >= {id(d) for d in held.terms}
     assert len(diagram._POOL) < pooled
     assert all(diagram._POOL[d.dom, d.cod, d.seam, d.ess, d.codes] is d for d in live.values())
-    assert [len(table) for table in tables[1:]] == [0, 0, 0, 0, 0, 0, 0]
+    assert [len(table) for table in tables[1:]] == [0, 0, 0, 0, 0, 0, 0, 0, 0]
