@@ -54,13 +54,19 @@ def _trim(cs) -> Poly:
 
 @memo()
 def _chebyshev(p0: Poly, m: int) -> Poly:
-    """p_m = X p_{m-1} - p_{m-2} from the given p_0 and p_1 = X."""
+    """p_m = X p_{m-1} - p_{m-2} from the given p_0 and p_1 = X.
+
+    The memo is filled upward first, so no call recurses more than one
+    step, however large m and whatever the memo holds.
+    """
     if m < 0:
         raise ValueError("negative index")
     if m == 0:
         return p0
     if m == 1:
         return X
+    for k in range(2, m - 1):
+        _chebyshev(p0, k)
     return poly_sub(poly_mul(X, _chebyshev(p0, m - 1)), _chebyshev(p0, m - 2))
 
 

@@ -298,10 +298,7 @@ def _reduce_seam(partner: list[int], levels: list[int], lo: int, ro: int) -> tup
 # by which `compose` reads the two partner codes, laid end to end as one
 # list of entries: the glued code of each point of either diagram, and a
 # getter of the entries of the glued boundary, in its code order
-_GLUE: dict[tuple[int, int, int, int, int], tuple[list[int], list[int], itemgetter]] = {}
-CACHE_CLEARS.append(_GLUE.clear)
-
-
+@memo()
 def _glue_tables(m: int, mid: int, n: int, ka: int, kb: int):
     lo = m + n
     ro = lo + ka + kb
@@ -318,8 +315,7 @@ def _glue_tables(m: int, mid: int, n: int, ka: int, kb: int):
     # a matching never leaves one point on the boundary, and itemgetter()
     # of none is refused
     pick = itemgetter(*entries) if entries else lambda glued: ()
-    _GLUE[m, mid, n, ka, kb] = tables = (inner, outer, pick)
-    return tables
+    return inner, outer, pick
 
 
 @memo()
@@ -347,7 +343,7 @@ def compose(inner: AnnularDiagram, outer: AnnularDiagram):
     if outer in _GENERATORS:
         return _compose_generator(outer, inner, False)
     m, mid, n, ka, kb = inner.dom, inner.cod, outer.cod, inner.seam, outer.seam
-    ta, tb, pick = _GLUE.get((m, mid, n, ka, kb)) or _glue_tables(m, mid, n, ka, kb)
+    ta, tb, pick = _glue_tables(m, mid, n, ka, kb)
     glued = list(map(ta.__getitem__, inner.codes))
     na = len(glued)
     glued += map(tb.__getitem__, outer.codes)
@@ -417,12 +413,12 @@ def _canonical(partner: list[int], m: int, n: int, k: int, levels: list[int], es
 # the middle circle each joins at most one pair of points, and runs the
 # others straight to its far side or its seam
 _GENERATORS: set[AnnularDiagram] = set()
+CACHE_CLEARS.append(_GENERATORS.clear)
+
+
 # (generator, is it inner, the other diagram's far size and seam) -> the
 # tables by which `_compose_generator` rewrites the other diagram's code
-_GEN: dict[tuple, tuple] = {}
-CACHE_CLEARS.extend((_GENERATORS.clear, _GEN.clear))
-
-
+@memo()
 def _generator_tables(g: AnnularDiagram, on_inner: bool, size: int, k: int):
     mid, ks = (g.cod if on_inner else g.dom), k + g.seam
     m, n = (g.dom, size) if on_inner else (size, g.cod)
@@ -449,8 +445,7 @@ def _generator_tables(g: AnnularDiagram, on_inner: bool, size: int, k: int):
             src[r] = e
     pick = itemgetter(*src) if src else lambda entries: ()
     gseam = ge[len(ge) - 2 * g.seam:]  # g's own seam points
-    _GEN[g, on_inner, size, k] = tables = (rel, [p for _, p in fixed], pick, turn, gseam, m, n, ks)
-    return tables
+    return rel, [p for _, p in fixed], pick, turn, gseam, m, n, ks
 
 
 def _compose_generator(g: AnnularDiagram, x: AnnularDiagram, on_inner: bool):
@@ -463,8 +458,8 @@ def _compose_generator(g: AnnularDiagram, x: AnnularDiagram, on_inner: bool):
     seam points, or a seam point of g's matched to another seam point, can
     make the result reducible: then `_canonical` runs.
     """
-    key = (g, on_inner, x.cod if on_inner else x.dom, x.seam)
-    rel, tail, pick, turn, gseam, m, n, k = _GEN.get(key) or _generator_tables(*key)
+    size = x.cod if on_inner else x.dom
+    rel, tail, pick, turn, gseam, m, n, k = _generator_tables(g, on_inner, size, x.seam)
     partner = pick([*map(rel.__getitem__, x.codes), *tail])
     iness, reduce = 0, False
     for c in gseam:
@@ -640,21 +635,16 @@ class Morphism(Combination):
 
 
 # id_diagram(n) by arity, without the guard's cost on every product
-_IDENTITIES: dict[int, AnnularDiagram] = {}
-CACHE_CLEARS.append(_IDENTITIES.clear)
+_identity = memo()(id_diagram.__wrapped__)
 
 
 def mor_compose(x: Morphism, y: Morphism) -> Morphism:
     """Categorical composition x after y."""
     if x.dom != y.cod:
         raise ValueError(f"cannot compose {x.dom}->{x.cod} after {y.dom}->{y.cod}")
-    cfg = get_config()
-    quotient = cfg.mode == MODE_QUOTIENT
-    # composing with the identity gives the other diagram back; above the
-    # strand limit no identity is built to test against
-    ident = _IDENTITIES.get(x.dom)
-    if ident is None and x.dom <= cfg.max_strands:
-        ident = _IDENTITIES[x.dom] = id_diagram(x.dom)
+    quotient = get_config().mode == MODE_QUOTIENT
+    # composing with the identity gives the other diagram back
+    ident = _identity(x.dom)
     xs = [(dx, cx.a, cx.b, cx.d) for dx, cx in x.terms.items()]
     # unreduced [a, b, d] sums, as `scalar.accumulate` keeps them
     acc: dict[AnnularDiagram, list[int]] = {}

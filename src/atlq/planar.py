@@ -299,12 +299,16 @@ def tensor(x: Morphism, y: Morphism) -> Morphism:
         for _ in range(y.dom):
             out = iota(out)
         return out
-    left = x
-    for _ in range(y.cod):
-        left = iota(left)
+    # iota refuses a strand over an essential circle: a wound y at the first
+    # step of its tower, which is built first, and a wound x here, before it
+    if y.cod and any(d.ess for d in x.terms):
+        raise ValueError("cannot superpose a strand over an essential circle")
     right = y
     for _ in range(x.dom):
         right = iota_prime(right)
+    left = x
+    for _ in range(y.cod):
+        left = iota(left)
     return left * right
 
 

@@ -221,11 +221,14 @@ class _Evaluator:
     type, Morphism or WeightMap alike.
     """
 
+    @memo()
     def weight_tensor(self, m: int, n: int):
         """T_m (x) T_n as the product (T_m (x) id_n) . (id_m (x) T_n)."""
         a = self.tensor(self.extremal(m), self.leaf(gen_id(n)))
         return a * self.tensor(self.leaf(gen_id(m)), self.extremal(n))
 
+    # iso_diff(m, n) reuses the complement that split(m, n) built
+    @memo()
     def split(self, m: int, n: int):
         if m < 1 or n < 1:
             raise ValueError("both factors need at least one strand")
@@ -306,10 +309,7 @@ class _Diagrams(_Evaluator):
         """At n = 2, T_m (x) id_2 times id_m (x) T_2 applied letter by letter."""
         if n == 2:
             return _overlap(tensor(extremal(m), gen_id(2)), extremal(2))
-        return _Evaluator.weight_tensor(self, m, n)
-
-    # iso_diff(m, n) reuses the complement that split_idempotent(m, n) built
-    split = memo()(_Evaluator.split)
+        return _Evaluator.weight_tensor.__wrapped__(self, m, n)
 
 
 class _Weights(_Evaluator):
@@ -323,9 +323,6 @@ class _Weights(_Evaluator):
 
     def tensor(self, x: WeightMap, y: WeightMap) -> WeightMap:
         return x.tensor(y)
-
-    weight_tensor = memo()(_Evaluator.weight_tensor)
-    split = memo()(_Evaluator.split)
 
 
 _DIAGRAMS = _Diagrams()

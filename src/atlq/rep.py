@@ -79,7 +79,7 @@ from __future__ import annotations
 from itertools import chain, product
 from math import gcd, lcm
 
-from .config import CACHE_CLEARS
+from .config import CACHE_CLEARS, memo
 from .diagram import AnnularDiagram, Morphism
 from .scalar import I, MINUS_I, MINUS_ONE, ONE, ZERO, Combination, GaussianRational
 from .scalar import _make, accumulate, json_int, json_reader
@@ -245,15 +245,7 @@ class _SignStrings(dict):
         return s
 
 
-_SIGN_STRINGS: dict[int, _SignStrings] = {}
-CACHE_CLEARS.append(_SIGN_STRINGS.clear)
-
-
-def _strings_of_length(n: int) -> _SignStrings:
-    table = _SIGN_STRINGS.get(n)
-    if table is None:
-        table = _SIGN_STRINGS[n] = _SignStrings(n)
-    return table
+_strings_of_length = memo()(_SignStrings)
 
 
 class _ShapeKeys(dict):
@@ -275,15 +267,7 @@ class _ShapeKeys(dict):
         return key
 
 
-_SHAPE_KEYS: dict[tuple[int, int], _ShapeKeys] = {}
-CACHE_CLEARS.append(_SHAPE_KEYS.clear)
-
-
-def _shape_keys(m: int, n: int) -> _ShapeKeys:
-    keys = _SHAPE_KEYS.get((m, n))
-    if keys is None:
-        keys = _SHAPE_KEYS[m, n] = _ShapeKeys(m, n)
-    return keys
+_shape_keys = memo()(_ShapeKeys)
 
 
 _phi_cache: dict[AnnularDiagram, tuple[tuple[int, int], ...]] = {}

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from atlq import cheb_j, cheb_l, poly_str
+from atlq import cheb_j, cheb_l, clear_caches, poly_str
 from atlq.cheb import (
+    X,
     j_from_l_identity,
     j_product_identity,
     l_product_identity,
@@ -42,6 +43,18 @@ def test_negative_index_rejected():
 
 def _eval(p, x):
     return sum(c * x**k for k, c in enumerate(p))
+
+
+def test_large_index_does_not_depend_on_the_memo():
+    # a cold call fills the memo upward instead of recursing 2000 deep
+    for p in (cheb_l, cheb_j):
+        clear_caches()
+        cold = p(2000)
+        clear_caches()
+        for m in range(0, 2001, 100):  # warmed upward, each step shallow
+            p(m)
+        assert cold == p(2000) and len(cold) == 2001
+        assert cold == poly_sub(poly_mul(X, p(1999)), p(1998))
 
 
 def test_values_at_two():

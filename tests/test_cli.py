@@ -226,6 +226,27 @@ def test_bad_input_is_a_one_line_error(argv, files, tmp_path, monkeypatch, capsy
     assert all(name in err for name in names)
 
 
+def test_library_refusals_become_one_error_line(monkeypatch, capsys):
+    # main reports any ValueError of a command on one line; other
+    # exceptions are faults, not bad input, and propagate
+    def refuse(x):
+        raise ValueError("refused by the library")
+
+    monkeypatch.setattr("atlq.cli.phi", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "id_1", "phi"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: refused by the library\n"
+
+    def fail(x):
+        raise RuntimeError("a fault")
+
+    monkeypatch.setattr("atlq.cli.phi", fail)
+    with pytest.raises(RuntimeError, match="a fault"):
+        main(["eval", "id_1", "phi"])
+    assert capsys.readouterr().err == ""
+
+
 def test_builtin_sweep_ends_cleanly(capsys):
     # every builtin head at sizes 0-2 with indices -1..n, under a limit of
     # 4 strands, through every unary op and tensor on every pair: each run

@@ -32,6 +32,7 @@ from atlq import (
     phi,
     tensor,
 )
+from atlq import planar
 from atlq.diagram import compose, make_diagram
 from atlq.planar import ess_generator, iota_diagram, recompose
 from atlq.scalar import MINUS_ONE, MINUS_TWO, ONE
@@ -230,6 +231,27 @@ def test_tensor_shapes_and_matmul():
     t = gen_d(2, 1) @ gen_u(2, 1)
     assert (t.dom, t.cod) == (4, 4)
     assert t == tensor(gen_d(2, 1), gen_u(2, 1))
+
+
+def test_tensor_refuses_a_wound_operand_before_building_the_other_tower(monkeypatch):
+    # the CLI leaves this refusal to tensor, so bad input must not cost
+    # iota^2(JW_5) or iota'^2(JW_5) first
+    wound = Morphism.from_diagram(make_diagram(2, 2, 0, 1, [(("I", 0), ("I", 1)), (("O", 0), ("O", 1))]))
+    x = jones_wenzl(5)
+    seen = []
+    real = planar.iota
+
+    def counted(operand):
+        seen.append(operand)
+        return real(operand)
+
+    monkeypatch.setattr(planar, "iota", counted)
+    with pytest.raises(ValueError, match="essential circle"):
+        tensor(x, wound)
+    assert seen == [wound]
+    with pytest.raises(ValueError, match="essential circle"):
+        tensor(wound, x)
+    assert seen == [wound]
 
 
 def test_tensor_weights_factor():

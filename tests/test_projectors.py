@@ -445,13 +445,15 @@ def test_results_survive_clear_caches(monkeypatch):
 def test_no_memo_escapes_clear_caches():
     extremal(3), phi_extremal(3), weight_tensor(2, 1), WEIGHTS.split(2, 1), cheb_l(4)
     gen_u(2, 0) * gen_u(2, 0)  # U_0 is glued, not rewritten by the generator kernel
-    tables = (diagram._POOL, diagram._IDENTITIES, diagram._GLUE, diagram._GENERATORS, diagram._GEN,
-              planar._factor_cache, planar._iota_cache, rep._phi_cache, rep._SIGN_STRINGS, rep._SHAPE_KEYS)
-    assert all(tables)  # each one is in use before the clear
+    tables = (diagram._POOL, diagram._GENERATORS, planar._factor_cache, planar._iota_cache, rep._phi_cache)
+    table_memos = (diagram._identity, diagram._glue_tables, diagram._generator_tables,
+                   rep._strings_of_length, rep._shape_keys)
+    # each one is in use before the clear
+    assert all(tables) and all(memo.cache_info().currsize for memo in table_memos)
     held, pooled = extremal(4), len(diagram._POOL)
     clear_caches()
     owners = [vars(mod) for name, mod in sys.modules.items() if name.split(".")[0] == "atlq"]
-    owners += [vars(projectors._Diagrams), vars(projectors._Weights)]
+    owners += [vars(projectors._Evaluator), vars(projectors._Diagrams), vars(projectors._Weights)]
     # config._from_env is not an engine memo: it reads the ATL_* variables
     # once per process, and a test that changes them clears it itself
     memos = {
@@ -461,6 +463,7 @@ def test_no_memo_escapes_clear_caches():
     assert {"compose", "d_diagram", "extremal", "phi_extremal", "_chebyshev", "weight_tensor", "split"} <= {
         memo.__name__ for memo in memos
     }
+    assert {id(memo) for memo in table_memos} <= {id(memo) for memo in memos}
     assert [memo.__name__ for memo in memos if memo.cache_info().currsize] == []
     # the pool keeps exactly the diagrams still alive, each under its own key,
     # and drops the rest: the steps of extremal(4) that it does not hold
@@ -468,4 +471,4 @@ def test_no_memo_escapes_clear_caches():
     assert {id(d) for d in diagram._POOL.values()} == set(live) >= {id(d) for d in held.terms}
     assert len(diagram._POOL) < pooled
     assert all(diagram._POOL[d.dom, d.cod, d.seam, d.ess, d.codes] is d for d in live.values())
-    assert [len(table) for table in tables[1:]] == [0, 0, 0, 0, 0, 0, 0, 0, 0]
+    assert [len(table) for table in tables[1:]] == [0, 0, 0, 0]

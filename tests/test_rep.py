@@ -163,7 +163,7 @@ def test_sign_strings_are_made_on_first_use():
     # a 0 -> 16 diagram has 2^8 rows among the 2^16 strings of length 16
     clear_caches()
     phi(nested_cups(8))
-    assert 0 < len(rep._SIGN_STRINGS[16]) <= 256
+    assert 0 < len(rep._strings_of_length(16)) <= 256
 
 
 def _seeded_combinations(mode: str) -> list:
