@@ -10,7 +10,10 @@ walks the crossings of the closing strand term by term, and reports that
 result.  E times the product
 formula's complement: E4x2 builds T_4 and T_2 untimed, then times
 `split_idempotent(4, 2)`, the e_{4,2} of T_4 (x) T_2 = T_6 + e_{4,2},
-and reports that result.  C times exact
+and reports that result.  X times strand insertion on both sides: X3x2
+builds T_3 and T_2 untimed, then times `tensor(T_3, T_2)`, which adds
+two strands to the right of T_3 and three to the left of T_2, and
+reports that result.  C times exact
 elimination: C7 builds T_7 untimed, then times `coordinates(T_7)`; its
 term count is the number of nonzero coordinates, and its digest is taken
 over the JSON list of their strings.  Each one runs in its own
@@ -44,7 +47,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 BUILDERS = {"T": "extremal", "H": "highest_weight", "L": "lowest_weight", "JW": "jones_wenzl",
-            "PT": "partial_trace", "C": "coordinates", "E": "split_idempotent"}
+            "PT": "partial_trace", "C": "coordinates", "E": "split_idempotent", "X": "tensor"}
 
 CHILD = """
 import hashlib, json, resource, sys, time
@@ -53,6 +56,8 @@ from atlq import diagram, rep
 name, sizes = sys.argv[1], [int(a) for a in sys.argv[2:]]
 if name in ("partial_trace", "coordinates"):
     args = (atlq.extremal(sizes[0]),)
+elif name == "tensor":
+    args = tuple(atlq.extremal(k) for k in sizes)
 else:
     if name == "split_idempotent":
         for k in sizes:
@@ -82,11 +87,11 @@ print(json.dumps({
 
 
 def parse_build(text: str) -> tuple[str, list[int]] | None:
-    match = re.fullmatch(r"(PT|T|H|L|JW|C)(\d+)|E(\d+)x(\d+)", text)
+    match = re.fullmatch(r"(PT|T|H|L|JW|C)(\d+)|([EX])(\d+)x(\d+)", text)
     if match is None:
         return None
     if match.group(1) is None:
-        return BUILDERS["E"], [int(match.group(3)), int(match.group(4))]
+        return BUILDERS[match.group(3)], [int(match.group(4)), int(match.group(5))]
     return BUILDERS[match.group(1)], [int(match.group(2))]
 
 
@@ -111,7 +116,7 @@ def main() -> int:
     specs = [parse_build(b) for b in builds]
     if None in specs:
         parser.error(f"bad --builds {args.builds!r}: each is T, H, L, JW, PT or C and a "
-                     "size, or E<m>x<n>")
+                     "size, or E<m>x<n> or X<m>x<n>")
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
 

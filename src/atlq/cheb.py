@@ -53,21 +53,24 @@ def _trim(cs) -> Poly:
 
 
 @memo()
+def _sequence(p0: Poly) -> list[Poly]:
+    """p_0 = p0, p_1 = X, ... as far as `_chebyshev` has been asked; it grows in place."""
+    return [p0, X]
+
+
 def _chebyshev(p0: Poly, m: int) -> Poly:
     """p_m = X p_{m-1} - p_{m-2} from the given p_0 and p_1 = X.
 
-    The memo is filled upward first, so no call recurses more than one
-    step, however large m and whatever the memo holds.
+    The sequence kept for p0 is extended by the recurrence up to m, so a
+    call makes one step per index it has not seen, and recurses not at all.
     """
     if m < 0:
         raise ValueError("negative index")
-    if m == 0:
-        return p0
-    if m == 1:
-        return X
-    for k in range(2, m - 1):
-        _chebyshev(p0, k)
-    return poly_sub(poly_mul(X, _chebyshev(p0, m - 1)), _chebyshev(p0, m - 2))
+    seq = _sequence(p0)
+    while len(seq) <= m:
+        # X p_{m-1} is p_{m-1} one degree up
+        seq.append(poly_sub((0, *seq[-1]), seq[-2]))
+    return seq[m]
 
 
 def cheb_l(m: int) -> Poly:

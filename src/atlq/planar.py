@@ -18,7 +18,13 @@ of the two-strand projectors one letter at a time.
   term with an essential circle.  Multiplying the strand past the letters
   of factorize(d) (cap/cup one arity up, D -> s . D) gives the same sum,
   because pi commutes with composition.
-* `iota_prime` (add a strand on the left) is the conjugate D^-1 iota(.) D.
+* `iota_prime` (add a strand on the left) is the conjugate D^-1 iota(.) D,
+  taken per diagram: 1 (x) d = D^-1 . (d (x) 1) . D is built once per mode
+  and diagram, and iota_prime(x) sums c . (1 (x) d) over the terms c.d of x.
+  That is the conjugate of the whole of iota(x), because composition is
+  bilinear and pi commutes with it.  Both insertions add their per-diagram
+  results on int numerators (`_scaled_sum`), as `mor_compose` does, and
+  reduce each output coefficient once.
 * `tensor` superposes side by side: X (x) Y = iota^|Y|(X) . iota_prime^|X|(Y),
   with a direct fast path when nothing crosses the seam.
 * `partial_trace` closes the last strand around the right, cap . (X (x) 1) . cup,
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .config import CACHE_CLEARS, MODE_QUOTIENT, get_config, guard
+from .config import CACHE_CLEARS, MODE_QUOTIENT, get_config, guard, memo
 from .diagram import (
     AnnularDiagram,
     Morphism,
@@ -262,17 +268,42 @@ def iota_diagram(d: AnnularDiagram) -> Morphism:
     return out
 
 
+@memo()
+def _iota_prime_diagram(mode: str, d: AnnularDiagram) -> Morphism:
+    """1 (x) d = D^-1 . (d (x) 1) . D.
+
+    `mode` is the current mode, passed only to key the memo.  The memo is
+    not `_iota_cache`, which holds right insertions alone.
+    """
+    return gen_d(d.cod + 1, -1) * iota_diagram(d) * gen_d(d.dom + 1, 1)
+
+
+def _scaled_sum(dom: int, cod: int, pairs) -> Morphism:
+    """The dom -> cod morphism sum of c . M over the (c, M) pairs, added on ints.
+
+    The guard runs before the first pair is drawn, so before any memo that
+    the pairs read.  Terms keep the order in which they first occur.
+    """
+    guard(max(dom, cod))
+    acc: dict[AnnularDiagram, list[int]] = {}
+    for c, x in pairs:
+        a, b, den = c.a, c.b, c.d
+        for e, v in x.terms.items():
+            accumulate(acc, e, a * v.a - b * v.b, a * v.b + b * v.a, den * v.d)
+    return Morphism._from_sums(dom, cod, acc)
+
+
 def iota(x: Morphism) -> Morphism:
     """Insert a through strand to the right of everything: X -> X (x) 1."""
-    guard(max(x.dom, x.cod) + 1)
-    return Morphism._sum(x.dom + 1, x.cod + 1, (
-        (k, c * v) for d, c in x.terms.items() for k, v in iota_diagram(d).terms.items()
-    ))
+    pairs = ((c, iota_diagram(d)) for d, c in x.terms.items())
+    return _scaled_sum(x.dom + 1, x.cod + 1, pairs)
 
 
 def iota_prime(x: Morphism) -> Morphism:
     """Insert a through strand to the left of everything: X -> 1 (x) X."""
-    return gen_d(x.cod + 1, -1) * iota(x) * gen_d(x.dom + 1, 1)
+    mode = get_config().mode
+    pairs = ((c, _iota_prime_diagram(mode, d)) for d, c in x.terms.items())
+    return _scaled_sum(x.dom + 1, x.cod + 1, pairs)
 
 
 def is_planar(x: Morphism) -> bool:

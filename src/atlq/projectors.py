@@ -50,7 +50,7 @@ from fractions import Fraction
 
 from .config import MODE_QUOTIENT, configure, guard, memo
 from .diagram import Morphism, crossing, gen_cap, gen_cup, gen_d, gen_id, gen_u
-from .planar import factorize, iota, nested_caps, nested_cups, partial_trace, tensor
+from .planar import _scaled_sum, factorize, iota, nested_caps, nested_cups, partial_trace, tensor
 from .rep import WeightMap, phi
 from .scalar import HALF, I, MINUS_I
 
@@ -149,10 +149,8 @@ def _overlap(left: Morphism, base: Morphism) -> Morphism:
                 x = x * gen_d(k + n, -1)
         return x
 
-    return Morphism._sum(left.dom, left.cod, (
-        (e, c * v) for d, c in base.terms.items()
-        for e, v in apply(left, factorize(d)).terms.items()
-    ))
+    pairs = ((c, apply(left, factorize(d))) for d, c in base.terms.items())
+    return _scaled_sum(left.dom, left.cod, pairs)
 
 
 def extremal_by_recursion(m: int) -> Morphism:

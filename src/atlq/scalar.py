@@ -18,12 +18,13 @@ a map dom -> cod.  Both linear objects of the package are such sums: a
 `Morphism` sums diagrams, a `WeightMap` sums matrix units.
 
 The loops that fold a product into such a sum (`diagram.mor_compose`,
-`rep.phi`, `WeightMap.__mul__`) never build a `GaussianRational` per
-pair.  They add raw integer numerators and reduce each output key once:
-one gcd per key, not one per multiply and add.  `mor_compose` and `*`
-add with `accumulate`, rescaling only where denominators differ, and
-`Combination._from_sums` reduces; `rep.phi` puts its operand over one
-denominator first and packs both numerators of each sum into one int.
+the strand insertions of `planar`, `rep.phi`, `WeightMap.__mul__`) never
+build a `GaussianRational` per pair.  They add raw integer numerators and
+reduce each output key once: one gcd per key, not one per multiply and
+add.  `mor_compose`, the insertions and `*` add with `accumulate`,
+rescaling only where denominators differ, and `Combination._from_sums`
+reduces; `rep.phi` puts its operand over one denominator first and packs
+both numerators of each sum into one int.
 """
 
 from __future__ import annotations

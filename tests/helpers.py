@@ -30,7 +30,9 @@ operands in place and by cap . iota(x) . cup otherwise, as the engine
 did before it closed the cup and the cap on the states of the strand
 walk.  `reference_basis` filters all 2^(2n) label strings for the
 balanced ones, as `enumerate_basis` did before it ran through the
-positions of the "i"s.  All are kept as test oracles.
+positions of the "i"s.  `reference_iota_prime` adds a strand on the
+left by conjugating the whole of iota(x) by D, as the engine did before
+it summed per-diagram conjugates.  All are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -253,6 +255,11 @@ def reference_iota_diagram(d: AnnularDiagram) -> Morphism:
             letter = gen_d(n + 1, -1) * crossing(n + 1, n)
         out = letter * out
     return out
+
+
+def reference_iota_prime(x: Morphism) -> Morphism:
+    """1 (x) x = D^-1 . iota(x) . D, conjugating the whole morphism at once."""
+    return gen_d(x.cod + 1, -1) * iota(x) * gen_d(x.dom + 1, 1)
 
 
 def reference_partial_trace(x: Morphism) -> Morphism:

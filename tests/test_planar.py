@@ -35,15 +35,17 @@ from atlq import (
 from atlq import planar
 from atlq.diagram import compose, make_diagram
 from atlq.planar import ess_generator, iota_diagram, recompose
-from atlq.scalar import MINUS_ONE, MINUS_TWO, ONE
+from atlq.scalar import HALF, MINUS_ONE, MINUS_TWO, ONE
 
 from helpers import (
     compose_word,
     projector_family,
+    random_combination,
     random_single_diagram,
     random_word,
     reference_inputs,
     reference_iota_diagram,
+    reference_iota_prime,
     reference_partial_trace,
     wound_diagrams,
 )
@@ -183,6 +185,49 @@ def test_iota_of_projectors_is_frozen(build, m, terms, digest):
     assert hashlib.sha256(out.dumps().encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("mode", ["quotient", "raw"])
+def test_iota_prime_matches_conjugation(mode):
+    # the sum of per-diagram conjugates against conjugating iota(x) whole,
+    # over single diagrams, projectors, seeded combinations whose
+    # denominators differ, and towers of left insertions
+    rng = random.Random(f"iota-prime-{mode}")
+    with configure(mode="quotient"):
+        wound = wound_diagrams(random.Random(20261021), 60, 30)
+    diagrams = reference_inputs(mode)
+    with configure(mode=mode):
+        for d in diagrams + wound:
+            x = Morphism.from_diagram(d)
+            if d.ess:
+                with pytest.raises(ValueError, match="essential circle"):
+                    iota_prime(x)
+            else:
+                assert iota_prime(x) == reference_iota_prime(x), d
+        shapes = {}
+        for d in diagrams:
+            if not d.ess:
+                shapes.setdefault((d.dom, d.cod), []).append(d)
+        samples = projector_family()
+        samples += [random_combination(rng, group, 6) for group in shapes.values() for _ in range(3)]
+        for x in samples:
+            assert iota_prime(x) == reference_iota_prime(x)
+        for x in (extremal(2), highest_weight(2), jones_wenzl(3), gen_d(2, 1) + gen_u(2, 0).scale(HALF)):
+            for _ in range(3):
+                step = iota_prime(x)
+                assert step == reference_iota_prime(x)
+                x = step
+
+
+# sha256 of x.dumps(), taken while iota_prime conjugated the whole of
+# iota(x) by D
+@pytest.mark.parametrize("build, digest", [
+    (lambda: iota_prime(extremal(4)), "b7fb98e599d67fa37b7f7b04508b477a1cfa2df0aaad4a7035453845a85c1a8a"),
+    (lambda: tensor(extremal(2), extremal(3)), "a6ad5b74dd99e65123978c053400a52a6edaf791ba020899f77de852a6ec3694"),
+    (lambda: tensor(highest_weight(2), extremal(2)), "128a1a34d69fa4b9180df5da550f7f082070587e2cfdf73d37e9d2625594f5c5"),
+], ids=["iota-prime-T4", "tensor-T2-T3", "tensor-H2-T2"])
+def test_left_insertions_are_frozen(build, digest):
+    assert hashlib.sha256(build().dumps().encode()).hexdigest() == digest
+
+
 def test_iota_is_tensor_with_identity_on_weights():
     rng = random.Random(7)
     samples = [gen_d(2, 1), gen_u(3, 0), crossing(2, 0) * gen_d(2, 1)]
@@ -235,23 +280,27 @@ def test_tensor_shapes_and_matmul():
 
 def test_tensor_refuses_a_wound_operand_before_building_the_other_tower(monkeypatch):
     # the CLI leaves this refusal to tensor, so bad input must not cost
-    # iota^2(JW_5) or iota'^2(JW_5) first
+    # iota^2(JW_5) or iota'^2(JW_5) first: no diagram of JW_5 gets a strand,
+    # as seen by both per-diagram insertions, memo hits included
     wound = Morphism.from_diagram(make_diagram(2, 2, 0, 1, [(("I", 0), ("I", 1)), (("O", 0), ("O", 1))]))
+    (d,) = wound.terms
     x = jones_wenzl(5)
     seen = []
-    real = planar.iota
+    for name in ("iota_diagram", "_iota_prime_diagram"):
+        real = getattr(planar, name)
 
-    def counted(operand):
-        seen.append(operand)
-        return real(operand)
+        def counted(*args, _real=real):
+            seen.append(args[-1])
+            return _real(*args)
 
-    monkeypatch.setattr(planar, "iota", counted)
+        monkeypatch.setattr(planar, name, counted)
     with pytest.raises(ValueError, match="essential circle"):
         tensor(x, wound)
-    assert seen == [wound]
+    # the left insertion's builder, then the right insertion it conjugates
+    assert seen == [d, d]
     with pytest.raises(ValueError, match="essential circle"):
         tensor(wound, x)
-    assert seen == [wound]
+    assert seen == [d, d]
 
 
 def test_tensor_weights_factor():

@@ -336,6 +336,7 @@ def test_product_shape_checks():
         lambda: phi_extremal(4),
         lambda: kariso_contract(2, 2),
         lambda: iso_equal(2),
+        lambda: iota_prime(extremal(3)),
     ],
 )
 def test_strand_guard_ignores_call_history(build):
@@ -445,9 +446,10 @@ def test_results_survive_clear_caches(monkeypatch):
 def test_no_memo_escapes_clear_caches():
     extremal(3), phi_extremal(3), weight_tensor(2, 1), WEIGHTS.split(2, 1), cheb_l(4)
     gen_u(2, 0) * gen_u(2, 0)  # U_0 is glued, not rewritten by the generator kernel
+    iota_prime(gen_d(2, 1))
     tables = (diagram._POOL, diagram._GENERATORS, planar._factor_cache, planar._iota_cache, rep._phi_cache)
     table_memos = (diagram._identity, diagram._glue_tables, diagram._generator_tables,
-                   rep._strings_of_length, rep._shape_keys)
+                   rep._strings_of_length, rep._shape_keys, planar._iota_prime_diagram)
     # each one is in use before the clear
     assert all(tables) and all(memo.cache_info().currsize for memo in table_memos)
     held, pooled = extremal(4), len(diagram._POOL)
@@ -460,7 +462,7 @@ def test_no_memo_escapes_clear_caches():
         id(obj): obj for owner in owners for obj in owner.values()
         if hasattr(obj, "cache_info") and obj is not config._from_env
     }.values()
-    assert {"compose", "d_diagram", "extremal", "phi_extremal", "_chebyshev", "weight_tensor", "split"} <= {
+    assert {"compose", "d_diagram", "extremal", "phi_extremal", "_sequence", "weight_tensor", "split"} <= {
         memo.__name__ for memo in memos
     }
     assert {id(memo) for memo in table_memos} <= {id(memo) for memo in memos}
