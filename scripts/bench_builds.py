@@ -13,7 +13,9 @@ formula's complement: E4x2 builds T_4 and T_2 untimed, then times
 and reports that result.  X times strand insertion on both sides: X3x2
 builds T_3 and T_2 untimed, then times `tensor(T_3, T_2)`, which adds
 two strands to the right of T_3 and three to the left of T_2, and
-reports that result.  C times exact
+reports that result.  N times the complement at a turnback depth:
+N4x2r1 builds T_4 and T_2 untimed, then times
+`split_idempotent_nested(4, 2, 1)` and reports that result.  C times exact
 elimination: C7 builds T_7 untimed, then times `coordinates(T_7)`; its
 term count is the number of nonzero coordinates, and its digest is taken
 over the JSON list of their strings.  Each one runs in its own
@@ -47,7 +49,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 BUILDERS = {"T": "extremal", "H": "highest_weight", "L": "lowest_weight", "JW": "jones_wenzl",
-            "PT": "partial_trace", "C": "coordinates", "E": "split_idempotent", "X": "tensor"}
+            "PT": "partial_trace", "C": "coordinates", "E": "split_idempotent", "X": "tensor",
+            "N": "split_idempotent_nested"}
 
 CHILD = """
 import hashlib, json, resource, sys, time
@@ -59,8 +62,8 @@ if name in ("partial_trace", "coordinates"):
 elif name == "tensor":
     args = tuple(atlq.extremal(k) for k in sizes)
 else:
-    if name == "split_idempotent":
-        for k in sizes:
+    if name in ("split_idempotent", "split_idempotent_nested"):
+        for k in sizes[:2]:
             atlq.extremal(k)
     args = tuple(sizes)
 start = time.perf_counter()
@@ -87,12 +90,14 @@ print(json.dumps({
 
 
 def parse_build(text: str) -> tuple[str, list[int]] | None:
-    match = re.fullmatch(r"(PT|T|H|L|JW|C)(\d+)|([EX])(\d+)x(\d+)", text)
+    match = re.fullmatch(r"(PT|T|H|L|JW|C)(\d+)|([EX])(\d+)x(\d+)|N(\d+)x(\d+)r(\d+)", text)
     if match is None:
         return None
-    if match.group(1) is None:
+    if match.group(1) is not None:
+        return BUILDERS[match.group(1)], [int(match.group(2))]
+    if match.group(3) is not None:
         return BUILDERS[match.group(3)], [int(match.group(4)), int(match.group(5))]
-    return BUILDERS[match.group(1)], [int(match.group(2))]
+    return BUILDERS["N"], [int(g) for g in match.groups()[5:]]
 
 
 def run_build(src: str, name: str, sizes: list[int]) -> dict:
@@ -116,7 +121,7 @@ def main() -> int:
     specs = [parse_build(b) for b in builds]
     if None in specs:
         parser.error(f"bad --builds {args.builds!r}: each is T, H, L, JW, PT or C and a "
-                     "size, or E<m>x<n> or X<m>x<n>")
+                     "size, or E<m>x<n>, X<m>x<n> or N<m>x<n>r<r>")
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
 

@@ -638,15 +638,19 @@ class Morphism(Combination):
 _identity = memo()(id_diagram.__wrapped__)
 
 
-def mor_compose(x: Morphism, y: Morphism) -> Morphism:
-    """Categorical composition x after y."""
-    if x.dom != y.cod:
-        raise ValueError(f"cannot compose {x.dom}->{x.cod} after {y.dom}->{y.cod}")
+def compose_sums(xs: list, y: Morphism) -> dict[AnnularDiagram, list[int]]:
+    """The terms dx . dy of x after y, summed on ints: diagram -> [a, b, d].
+
+    `xs` lists the terms (dx, a, b, d), meaning (a + b*i)/d, of x.  The
+    terms of y are the outer loop and those of x the inner one, and the
+    sums keep the order in which their diagrams first occur; a sum may be
+    zero.  Composing with the identity gives the other diagram back, each
+    inessential circle is a factor of -2, and in quotient mode a product
+    with an essential circle is dropped.  The sums add as
+    `scalar.accumulate` does.
+    """
     quotient = get_config().mode == MODE_QUOTIENT
-    # composing with the identity gives the other diagram back
-    ident = _identity(x.dom)
-    xs = [(dx, cx.a, cx.b, cx.d) for dx, cx in x.terms.items()]
-    # unreduced [a, b, d] sums, as `scalar.accumulate` keeps them
+    ident = _identity(y.cod)
     acc: dict[AnnularDiagram, list[int]] = {}
     for dy, cy in y.terms.items():
         ay, by, ey = cy.a, cy.b, cy.d
@@ -673,7 +677,15 @@ def mor_compose(x: Morphism, y: Morphism) -> Morphism:
                 e[1] += b
             else:
                 add_rescaled(e, a, b, den)
-    return Morphism._from_sums(y.dom, x.cod, acc)
+    return acc
+
+
+def mor_compose(x: Morphism, y: Morphism) -> Morphism:
+    """Categorical composition x after y."""
+    if x.dom != y.cod:
+        raise ValueError(f"cannot compose {x.dom}->{x.cod} after {y.dom}->{y.cod}")
+    xs = [(d, c.a, c.b, c.d) for d, c in x.terms.items()]
+    return Morphism._from_sums(y.dom, x.cod, compose_sums(xs, y))
 
 
 # -- generator morphisms ----------------------------------------------------

@@ -6,7 +6,8 @@ inner boundary and cups off the outer one, and while the seam is still
 crossed, pre- or post-compose with one rotation that lowers the seam
 (the `factorize` docstring says why there is one).  `recompose`
 multiplies a word back out, and `projectors._overlap` applies the words
-of the two-strand projectors one letter at a time.
+of the two-strand projectors one letter at a time, on the int sums of
+one denominator (`diagram.compose_sums`).
 
 * `iota` (add a strand on the right).  A wound arc crosses every radial
   line of the annulus, so it cannot avoid the added strand, and at q=1 a

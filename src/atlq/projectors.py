@@ -40,19 +40,21 @@ form is W . (T_{m-r} (x) turnback (x) T_{n-r}) . W; the quotient
 commutes with composition, so these give the terms of the same products
 bracketed over the tensor factors of W.  On diagrams, W for n = 2 is an
 overlap product too, (T_m (x) id_2) . (id_m (x) T_2) with the right
-factor applied letter by letter.
+factor applied letter by letter, and so is the last factor W of the
+depth-r form: ((W . mid) . (T_m (x) id_2)) . (id_m (x) T_2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .config import MODE_QUOTIENT, configure, guard, memo
-from .diagram import Morphism, crossing, gen_cap, gen_cup, gen_d, gen_id, gen_u
-from .planar import _scaled_sum, factorize, iota, nested_caps, nested_cups, partial_trace, tensor
+from .diagram import Morphism, compose_sums, crossing, gen_cap, gen_cup, gen_d, gen_id, gen_u
+from .planar import factorize, iota, nested_caps, nested_cups, partial_trace, tensor
 from .rep import WeightMap, phi
-from .scalar import HALF, I, MINUS_I
+from .scalar import HALF, I, MINUS_I, accumulate
 
 
 @dataclass(frozen=True)
@@ -120,6 +122,15 @@ def _overlap(left: Morphism, base: Morphism) -> Morphism:
         x . (id_k (x) D)    = x . D . s_1 ... s_k,
         x . (id_k (x) D^-1) = x . s_k ... s_1 . D^-1.
 
+    `left` is put over one denominator, and each product of a letter acts
+    on its int numerators through `compose_sums`, the loop of
+    `mor_compose`; the sums that cancel are dropped after each product,
+    and each output coefficient is reduced once, after the base's
+    coefficients are folded in.  So the terms come out as one `Morphism`
+    product per letter would give them, in the same order.  A word resumes
+    from the longest prefix that it shares with an earlier word, held only
+    until the last word that resumes there (`_resume_points`).
+
     Only compositions are re-bracketed, so this equals left . tensor(id_k,
     base) as long as that right factor lost no term to the quotient.  It
     does not: for every term d of T_2 and of H_2, iota_prime^j(d) in raw
@@ -131,26 +142,64 @@ def _overlap(left: Morphism, base: Morphism) -> Morphism:
     has 251 terms where tensor(T_2, T_3) has 223, so only the two-strand
     bases go through here.
     """
+    guard(max(left.dom, left.cod))
     k = left.dom - base.dom
+    den = lcm(*[c.d for c in left.terms.values()])
+    start = [(d, c.a * (den // c.d), c.b * (den // c.d), den) for d, c in left.terms.items()]
 
-    def apply(x: Morphism, word) -> Morphism:
-        for kind, n, a in reversed(word):
-            if kind == "cap":
-                x = x * gen_cap(k + n, k + a)
-            elif kind == "cup":
-                x = x * gen_cup(k + n, k + a)
-            elif a == 1:
-                x = x * gen_d(k + n, 1)
-                for t in range(1, k + 1):
-                    x = x * crossing(k + n, t)
-            else:
-                for t in range(k, 0, -1):
-                    x = x * crossing(k + n, t)
-                x = x * gen_d(k + n, -1)
-        return x
+    def steps(kind, n, a):
+        # the generators whose product is the letter with id_k tensored on,
+        # in the order they act
+        size = k + n
+        if kind == "cap":
+            return [gen_cap(size, k + a)]
+        if kind == "cup":
+            return [gen_cup(size, k + a)]
+        cross = [crossing(size, t) for t in range(1, k + 1)]
+        return [gen_d(size, 1), *cross] if a == 1 else [*reversed(cross), gen_d(size, -1)]
 
-    pairs = ((c, apply(left, factorize(d))) for d, c in base.terms.items())
-    return _scaled_sum(left.dom, left.cod, pairs)
+    words = [tuple(reversed(factorize(d))) for d in base.terms]
+    plan, last = _resume_points(words)
+    held: dict = {}
+    acc: dict = {}
+    for j, (word, c) in enumerate(zip(words, base.terms.values())):
+        point = plan[j]
+        xs = held.pop(point) if last.get(point) == j else held.get(point, start)
+        for p in range(point[1], len(word)):
+            for g in steps(*word[p]):
+                xs = [(d, a, b, e) for d, (a, b, e) in compose_sums(xs, g).items() if a or b]
+            if (j, p + 1) in last:
+                held[j, p + 1] = xs
+        ca, cb, cd = c.a, c.b, c.d * den
+        for d, a, b, _ in xs:
+            accumulate(acc, d, ca * a - cb * b, ca * b + cb * a, cd)
+    return Morphism._from_sums(left.dom, left.cod, acc)
+
+
+def _resume_points(words) -> tuple[list, dict]:
+    """Where each word of `_overlap` resumes, and the last word that resumes there.
+
+    Word j resumes at the point (i, n): the product after the first n
+    letters of word i, the first word that shares n letters with it, and
+    the most that any earlier word shares.  So word i computes that
+    product itself.  A word that shares no letter resumes at (None, 0),
+    the left factor, which is never held.
+    """
+    plan, last = [], {}
+    for j, word in enumerate(words):
+        point = (None, 0)
+        for i in range(j):
+            n = 0
+            for u, v in zip(words[i], word):
+                if u != v:
+                    break
+                n += 1
+            if n > point[1]:
+                point = (i, n)
+        plan.append(point)
+        if point[0] is not None:
+            last[point] = j
+    return plan, last
 
 
 def extremal_by_recursion(m: int) -> Morphism:
@@ -244,7 +293,11 @@ class _Evaluator:
         w = self.weight_tensor(m, n)
         turn = self.leaf(nested_cups(r)) * self.leaf(nested_caps(r))
         mid = self.tensor(self.tensor(self._block(m - r), turn), self._block(n - r))
-        return (w * mid * w).scale((-1) ** r)
+        return self._times_weight_tensor(w * mid, m, n).scale((-1) ** r)
+
+    def _times_weight_tensor(self, x, m: int, n: int):
+        """x . (T_m (x) T_n)."""
+        return x * self.weight_tensor(m, n)
 
     def _block(self, k: int):
         """T_k as a tensor factor; the empty factor is the empty diagram alone."""
@@ -308,6 +361,12 @@ class _Diagrams(_Evaluator):
         if n == 2:
             return _overlap(tensor(extremal(m), gen_id(2)), extremal(2))
         return _Evaluator.weight_tensor.__wrapped__(self, m, n)
+
+    def _times_weight_tensor(self, x: Morphism, m: int, n: int) -> Morphism:
+        """At n = 2, x . (T_m (x) id_2), then id_m (x) T_2 letter by letter."""
+        if n == 2:
+            return _overlap(x * tensor(extremal(m), gen_id(2)), extremal(2))
+        return x * self.weight_tensor(m, n)
 
 
 class _Weights(_Evaluator):

@@ -21,10 +21,13 @@ The loops that fold a product into such a sum (`diagram.mor_compose`,
 the strand insertions of `planar`, `rep.phi`, `WeightMap.__mul__`) never
 build a `GaussianRational` per pair.  They add raw integer numerators and
 reduce each output key once: one gcd per key, not one per multiply and
-add.  `mor_compose`, the insertions and `*` add with `accumulate`,
-rescaling only where denominators differ, and `Combination._from_sums`
-reduces; `rep.phi` puts its operand over one denominator first and packs
-both numerators of each sum into one int.
+add.  `mor_compose` (through `diagram.compose_sums`), the insertions
+and `*` add as `accumulate` does, rescaling only where denominators
+differ, and `Combination._from_sums` reduces; `projectors._overlap`
+puts its left factor over one denominator and runs every letter of its
+right factor through `compose_sums` before it reduces once; `rep.phi`
+puts its operand over one denominator first and packs both numerators
+of each sum into one int.
 """
 
 from __future__ import annotations

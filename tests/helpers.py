@@ -32,7 +32,11 @@ walk.  `reference_basis` filters all 2^(2n) label strings for the
 balanced ones, as `enumerate_basis` did before it ran through the
 positions of the "i"s.  `reference_iota_prime` adds a strand on the
 left by conjugating the whole of iota(x) by D, as the engine did before
-it summed per-diagram conjugates.  All are kept as test oracles.
+it summed per-diagram conjugates.  `reference_letter_overlap` applies
+the letters of the overlap product's right factor as one `Morphism`
+product each, reduced after every letter, as the engine did before it
+applied them on the int sums of one denominator.  All are kept as test
+oracles.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ from atlq import (
 from atlq.canon import matching_from_labels
 from atlq.config import MODE_QUOTIENT, get_config
 from atlq.diagram import AnnularDiagram, Arc, Point, _KIND_ORDER, _intern, compose, make_diagram, point_key
+from atlq.planar import _scaled_sum
 from atlq.rep import _I_POWERS, WeightMap, _strands, sign_strings
 from atlq.scalar import I, MINUS_I, MINUS_TWO, ONE, ZERO, GaussianRational
 
@@ -206,6 +211,35 @@ def reference_overlap(build, m: int) -> Morphism:
         return build(m)
     with configure(mode=MODE_QUOTIENT):
         return iota(reference_overlap(build, m - 1)) * tensor(gen_id(m - 2), build(2))
+
+
+def reference_letter_overlap(left: Morphism, base: Morphism) -> Morphism:
+    """left . (id_k (x) base), one `Morphism` product per letter of factorize(d).
+
+    With N = k + n for a letter of arity n and s_t = crossing(N, t),
+    x . (id_k (x) D) = x . D . s_1 ... s_k and x . (id_k (x) D^-1) =
+    x . s_k ... s_1 . D^-1; caps and cups sit at k + i.
+    """
+    k = left.dom - base.dom
+
+    def apply(x: Morphism, word) -> Morphism:
+        for kind, n, a in reversed(word):
+            if kind == "cap":
+                x = x * gen_cap(k + n, k + a)
+            elif kind == "cup":
+                x = x * gen_cup(k + n, k + a)
+            elif a == 1:
+                x = x * gen_d(k + n, 1)
+                for t in range(1, k + 1):
+                    x = x * crossing(k + n, t)
+            else:
+                for t in range(k, 0, -1):
+                    x = x * crossing(k + n, t)
+                x = x * gen_d(k + n, -1)
+        return x
+
+    pairs = ((c, apply(left, factorize(d))) for d, c in base.terms.items())
+    return _scaled_sum(left.dom, left.cod, pairs)
 
 
 def _tensor_factors(m: int, n: int) -> tuple[Morphism, Morphism]:

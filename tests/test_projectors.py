@@ -51,6 +51,7 @@ from atlq.projectors import WEIGHTS, phi_extremal
 from atlq.scalar import HALF, I, ONE
 
 from helpers import (
+    reference_letter_overlap,
     reference_overlap,
     reference_split,
     reference_split_nested,
@@ -167,6 +168,47 @@ def test_overlap_rotation_rules(e):
                 assert projectors._overlap(gen_id(k + n), d) == tensor(gen_id(k), d)
 
 
+def _overlap_inputs() -> list:
+    """(left, base) of each overlap product that the letter oracle checks."""
+    with configure(mode=MODE_QUOTIENT):
+        pairs = [(iota(extremal(m - 1)), extremal(2)) for m in range(3, 7)]
+        pairs += [(iota(highest_weight(m - 1)), highest_weight(2)) for m in range(3, 6)]
+        # weight_tensor(m, 2)
+        pairs += [(tensor(extremal(m), gen_id(2)), extremal(2)) for m in range(1, 5)]
+        # the one-letter bases of test_overlap_rotation_rules
+        pairs += [(gen_id(k + n), gen_d(n, e)) for e in (1, -1) for n in range(1, 5) for k in range(1, 4)]
+    return pairs
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_overlap_matches_the_letter_by_letter_oracle(warm):
+    # the same terms in the same order as one Morphism product per letter,
+    # from an empty compose memo or from one that the oracle filled
+    for left, base in _overlap_inputs():
+        with configure(mode=MODE_QUOTIENT):
+            if warm:
+                want = reference_letter_overlap(left, base)
+            clear_caches()
+            got = projectors._overlap(left, base)
+            if not warm:
+                clear_caches()
+                want = reference_letter_overlap(left, base)
+        assert got == want
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert got.dumps() == want.dumps()
+
+
+def test_overlap_refuses_before_reading_a_memo():
+    with configure(mode=MODE_QUOTIENT):
+        left, base = iota(highest_weight(3)), highest_weight(2)
+    clear_caches()  # factorize's word memo too, whose misses compose
+    before = compose.cache_info()
+    with configure(max_strands=left.dom - 1):
+        with pytest.raises(ValueError, match="exceeds the configured limit"):
+            projectors._overlap(left, base)
+    assert compose.cache_info() == before
+
+
 def test_extremal_recursion_route_agrees():
     for m in (3, 4):
         assert ess_equal(extremal_by_recursion(m), extremal(m))
@@ -263,10 +305,17 @@ def test_product_formula_matches_the_tensor_factor_route(m, n):
     assert weight_tensor(m, n) == reference_weight_tensor(m, n)
     if (m, n) != (1, 1):  # a closed form, pinned by test_split_idempotent_frozen
         assert split_idempotent(m, n) == reference_split(m, n)
-    if (m, n) == (4, 2):  # its nested forms take about 13 s by the two routes
+    if (m, n) == (4, 2):  # its nested forms are checked below
         return
     for r in _nested_depths(m, n):
         assert split_idempotent_nested(m, n, r) == reference_split_nested(m, n, r)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_nested_complement_goes_letter_by_letter(m):
+    # at n = 2 the last factor W is id_m (x) T_2, applied by _overlap
+    for r in _nested_depths(m, 2):
+        assert split_idempotent_nested(m, 2, r) == reference_split_nested(m, 2, r)
 
 
 def test_iso_diff_contracts():

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("decategorify.py", ["--max", "2"]),
         ("render_gallery.py", ["--out", "{tmp}"]),
         ("render_gallery.py", ["--tikz", "--out", "{tmp}"]),
-        ("bench_builds.py", ["--builds", "T4,H4,PT4,C4,E2x2,X2x2", "--rounds", "2", "--out", "{tmp}/builds.json"]),
+        ("bench_builds.py", ["--builds", "T4,H4,PT4,C4,E2x2,X2x2,N2x2r1", "--rounds", "2", "--out", "{tmp}/builds.json"]),
     ],
     # Fixed ids, so each case keeps its name when an entry is added or dropped.
     ids=[
